@@ -54,6 +54,7 @@ from repro.core.convergence import ConvergenceTracker
 from repro.geometry.primitives import Point, distance
 from repro.network.mobility import MobilityModel
 from repro.network.network import SensorNetwork
+from repro.obs import trace as _trace
 
 
 @dataclasses.dataclass(frozen=True)
@@ -334,6 +335,10 @@ class CentralizedDeployer(Deployer):
     def result(self) -> SimulationResult:
         if self._result is not None:
             return self._result
+        with _trace.span("result"):
+            return self._finalize()
+
+    def _finalize(self) -> SimulationResult:
         network = self.network
         # Final sensing ranges: the circumradius of each node's dominating
         # region measured from its final position.  Recompute the regions
@@ -544,6 +549,10 @@ class DistributedDeployer(Deployer):
         """
         if self._result is not None:
             return self._result
+        with _trace.span("result"):
+            return self._finalize()
+
+    def _finalize(self) -> SimulationResult:
         network = self.network
         needs_refresh = (not self._converged) or not self._have_regions
         snapshot = None

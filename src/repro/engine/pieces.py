@@ -12,6 +12,8 @@ backends:
   finishing iteration as flat array chunks and, once at the very end,
   regroups them by owner into one CSR block (a stable argsort keeps
   each owner's discovery order, since an owner finishes exactly once);
+* :func:`splice_pieces` — replaces some rows of a finalised block with
+  freshly emitted ones (the centralized engine's incremental rounds);
 * :func:`materialize_pieces` — the single flat-arrays → Python-polygon
   conversion, run once per round at most;
 * :class:`LazyRegions` — a regions dict whose materialisation is
@@ -31,7 +33,7 @@ from repro.engine.jit_kernels import ragged_indices
 from repro.geometry.primitives import Point
 from repro.obs import metrics as _metrics
 
-__all__ = ["LazyRegions", "PieceAccumulator", "materialize_pieces"]
+__all__ = ["LazyRegions", "PieceAccumulator", "materialize_pieces", "splice_pieces"]
 
 #: Pool telemetry (process-wide): freezes are `extend` calls that grew
 #: the pool (one per finishing expanding-radius iteration with output),
@@ -144,6 +146,40 @@ class PieceAccumulator:
         np.add.at(vert_counts, piece_owner, pc)
         vert_indptr = np.concatenate(([0], np.cumsum(vert_counts))).astype(np.int64)
         return vx[gidx], vy[gidx], piece_indptr, piece_owner, vert_indptr
+
+
+def splice_pieces(
+    old: EmittedPieces, new: EmittedPieces, replace: np.ndarray
+) -> EmittedPieces:
+    """Owner-grouped block taking ``replace`` rows from ``new``, the rest from ``old``.
+
+    Both blocks are :meth:`PieceAccumulator.finalize` output over the
+    same rows, and ``new`` holds pieces only for rows flagged in the
+    boolean mask ``replace``.  Each row's pieces are copied verbatim, in
+    their original order, so the result is bitwise the block a single
+    accumulator would have produced had every row been emitted fresh.
+    """
+    ovx, ovy, o_indptr, o_owner, o_vert = old
+    nvx, nvy, n_indptr, n_owner, n_vert = new
+    keep = np.nonzero(~replace[o_owner])[0]
+    # Old kept pieces and new pieces belong to disjoint rows, and each
+    # side is already grouped by ascending owner: a stable sort of the
+    # concatenation interleaves whole rows without reordering any row.
+    owners = np.concatenate((o_owner[keep], n_owner))
+    order = np.argsort(owners, kind="stable")
+    counts = np.concatenate((np.diff(o_indptr)[keep], np.diff(n_indptr)))[order]
+    starts = np.concatenate(
+        (o_indptr[:-1][keep], n_indptr[:-1] + ovx.shape[0])
+    )[order]
+    gidx = ragged_indices(starts, counts)
+    vert_counts = np.where(replace, np.diff(n_vert), np.diff(o_vert))
+    return (
+        np.concatenate((ovx, nvx))[gidx],
+        np.concatenate((ovy, nvy))[gidx],
+        np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
+        owners[order],
+        np.concatenate(([0], np.cumsum(vert_counts))).astype(np.int64),
+    )
 
 
 def materialize_pieces(

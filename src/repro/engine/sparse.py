@@ -24,7 +24,20 @@ engine replaces both:
   Python bookkeeping anywhere in the loop;
 * the per-round summary (Chebyshev centers, circumradii, displacements)
   is computed by :func:`~repro.engine.sparse_kernels.mec_batch` over
-  flat vertex arrays instead of one scalar Welzl call per node.
+  flat vertex arrays instead of one scalar Welzl call per node;
+* rounds are **incremental**: the engine keeps the previous round's
+  positions, piece CSR, ``used``/``rho`` and summaries, and only the
+  *dirty* rows — nodes that moved, or whose stored ``rho`` disk holds a
+  mover's old or new position — re-enter the Lemma-1 loop and
+  ``mec_batch``; their output is spliced into the clean rows' stored
+  pieces in owner order.  A clean row's output depends only on its own
+  position and the sites inside its ``rho`` disk, none of which
+  changed, so the spliced round is **bitwise** the round a fresh engine
+  computes.  The first round, any change of alive set, area or config,
+  ``prefilter=False``, ``use_localized`` and ``count <= 1`` recompute
+  everything; a call with nothing moved (``result()`` then ``step()``)
+  reuses the stored round outright.  DESIGN.md "Incremental rounds"
+  has the argument.
 
 With ``REPRO_PROFILE=1`` the round result carries a per-stage timing
 dict (see :mod:`repro.engine.profiling`).
@@ -40,22 +53,31 @@ circle search.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.config import LaacadConfig
 from repro.engine.arrays import NodeArrayState
 from repro.engine.base import EngineRound, register_engine, summarize_regions
 from repro.engine.batch import BatchedRoundEngine
 from repro.engine.jit_kernels import kernel_tier, ragged_indices, segment_ids
 from repro.engine.kernels import chunk_budget_bytes, kernel_threads
-from repro.engine.pieces import LazyRegions, PieceAccumulator, materialize_pieces
+from repro.engine.pieces import (
+    EmittedPieces,
+    LazyRegions,
+    PieceAccumulator,
+    materialize_pieces,
+    splice_pieces,
+)
 from repro.engine.profiling import StageTimer
 from repro.engine.sparse_kernels import clip_cells_batch, mec_batch
 from repro.geometry.primitives import EPS
 from repro.network.neighbors import SpatialGrid
 from repro.obs import metrics as _metrics
+from repro.obs import trace as _trace
 from repro.voronoi.dominating import DominatingRegion
 
 #: Candidate volume actually fetched from the spatial grid, summed per
@@ -65,72 +87,169 @@ _GRID_CANDIDATES = _metrics.counter(
     "repro_grid_candidates_total",
     "Candidate neighbors returned by spatial-grid radius queries",
 )
+#: Incremental-round health: region rows recomputed vs. carried over
+#: from the previous round.  Their ratio is the share of the network a
+#: round actually paid for.
+_ROWS_RECOMPUTED = _metrics.counter(
+    "repro_engine_rows_recomputed_total",
+    "Dominating-region rows the centralized sparse engine recomputed",
+)
+_ROWS_REUSED = _metrics.counter(
+    "repro_engine_rows_reused_total",
+    "Dominating-region rows carried over unchanged from the previous round",
+)
 
-#: Flat per-node region geometry stashed between ``compute_regions`` and
-#: ``compute_round``: (vert_x, vert_y, per-node indptr, alive ids).
-_FlatRegions = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+def _nearest_first(px, py, centers, cand, owners):
+    """``cand`` and its distances, nearest-first within each owner.
+
+    ``owners[i]`` indexes ``centers`` and is ascending, so it is its own
+    sorted image; ties keep the grid's order (the sweep's competitor
+    order).  A function so the sort's temporaries die on return.
+    """
+    dx = px[cand] - px[centers][owners]
+    dy = py[cand] - py[centers][owners]
+    order = np.lexsort((dx * dx + dy * dy, owners))
+    return cand[order], np.hypot(dx, dy)[order]
+
+
+@dataclasses.dataclass
+class _RoundState:
+    """What one global round leaves behind for the next.
+
+    Rows are alive nodes in node order.  ``incremental`` marks state
+    from the prefiltered Lemma-1 path, the only one whose rows can be
+    spliced; the others still serve the nothing-moved cache.  ``stale``
+    flags rows whose summary (``cx``/``cy``/``radius``/``ranges``) has
+    not been computed for the current geometry yet.
+    """
+
+    config: LaacadConfig
+    area_pieces: List
+    alive_ids: np.ndarray
+    positions: np.ndarray
+    pieces: EmittedPieces
+    used: np.ndarray
+    search_radius: np.ndarray
+    regions: Dict[int, DominatingRegion]
+    incremental: bool
+    cx: np.ndarray
+    cy: np.ndarray
+    radius: np.ndarray
+    ranges: np.ndarray
+    stale: np.ndarray
+
+    def matches(self, config, area_pieces, alive_ids) -> bool:
+        """Whether the next round runs on the same problem (all but positions)."""
+        return (
+            (config is self.config or config == self.config)
+            and np.array_equal(alive_ids, self.alive_ids)
+            and area_pieces == self.area_pieces
+        )
 
 
 @register_engine
 class SparseRoundEngine(BatchedRoundEngine):
-    """Grid-bucketed, level-synchronous round computation."""
+    """Grid-bucketed, level-synchronous, incremental round computation."""
 
     name = "sparse"
 
     def __init__(self, network, config) -> None:
         super().__init__(network, config)
-        self._flat_regions: Optional[_FlatRegions] = None
+        self._state: Optional[_RoundState] = None
         self._stage_timer: Optional[StageTimer] = None
 
     # ------------------------------------------------------------------
     def compute_regions(self) -> Tuple[Dict[int, DominatingRegion], int]:
-        self._flat_regions = None
         self._stage_timer = StageTimer()
         if self.config.use_localized:
+            self._state = None
             return self._compute_regions_localized()
-        return self._compute_regions_sparse()
+        return self._compute_regions_sparse(), 0
 
     def compute_round(self) -> EngineRound:
         regions, max_hops = self.compute_regions()
-        if self._flat_regions is None:
+        if self._state is None:
             return summarize_regions(self.network, regions, max_hops)
         return self._summarize_vectorized(regions, max_hops)
 
     # ------------------------------------------------------------------
     # Region computation
     # ------------------------------------------------------------------
-    def _compute_regions_sparse(self) -> Tuple[Dict[int, DominatingRegion], int]:
+    def _compute_regions_sparse(self) -> Dict[int, DominatingRegion]:
         network = self.network
         config = self.config
-        k = config.k
-        timer = self._stage_timer
-        area = network.region
-        area_pieces = area.convex_pieces()
-        diameter = area.diameter
+        area_pieces = network.region.convex_pieces()
 
-        state = NodeArrayState.from_network(network)
-        alive_ids = state.alive_node_ids()
-        positions = state.alive_positions()
+        snapshot = NodeArrayState.from_network(network)
+        alive_ids = snapshot.alive_node_ids()
+        positions = snapshot.alive_positions()
         count = positions.shape[0]
+
+        prev = self._state
+        if prev is not None and not prev.matches(config, area_pieces, alive_ids):
+            prev = None
+        moved = None
+        if prev is not None:
+            moved = np.nonzero((positions != prev.positions).any(axis=1))[0]
+            if moved.size == 0:
+                # Nothing moved since the last computation (e.g. result()
+                # followed by step()): the stored regions are current.
+                _trace.annotate(moved=0, dirty_rows=0)
+                _ROWS_REUSED.inc(count)
+                return prev.regions
+            if not prev.incremental:
+                prev = None
+
         if count == 0:
-            self._flat_regions = (
-                np.zeros(0),
-                np.zeros(0),
-                np.zeros(1, dtype=np.int64),
-                alive_ids,
+            self._store(
+                config, area_pieces, alive_ids, positions,
+                PieceAccumulator().finalize(0), np.zeros(0, dtype=np.int64),
+                np.zeros(0), False,
             )
-            return {}, 0
-
-        if count == 1 or not config.prefilter:
-            return self._compute_regions_exhaustive(
-                alive_ids, positions, area_pieces, k
+            recomputed = 0
+        elif count == 1 or not config.prefilter:
+            self._compute_regions_exhaustive(
+                config, area_pieces, alive_ids, positions
             )
+            recomputed = count
+        else:
+            recomputed = self._compute_regions_lemma1(
+                config, area_pieces, alive_ids, positions, prev, moved
+            )
+        _trace.annotate(
+            moved=count if moved is None else int(moved.size),
+            dirty_rows=recomputed,
+        )
+        _ROWS_RECOMPUTED.inc(recomputed)
+        _ROWS_REUSED.inc(count - recomputed)
+        return self._state.regions
 
+    def _compute_regions_lemma1(
+        self, config, area_pieces, alive_ids, positions, prev, moved
+    ) -> int:
+        """The prefiltered path: full, or incremental against ``prev``.
+
+        With ``prev`` (the last round, same problem) only the *dirty*
+        rows are recomputed — see :meth:`_dirty_rows` — and spliced into
+        the stored block; every other row keeps its pieces, ``used`` and
+        ``rho`` verbatim, which is exactly what a full recompute would
+        rebuild for it.  Returns the number of rows recomputed.
+        """
+        timer = self._stage_timer
+        k = config.k
+        diameter = self.network.region.diameter
+        count = positions.shape[0]
         px = np.ascontiguousarray(positions[:, 0])
         py = np.ascontiguousarray(positions[:, 1])
         # Cell size ~ mean node spacing: radius-r queries then scan
         # O((r/cell)^2) buckets of O(1) points each.
         cell = max(diameter / max(math.sqrt(count), 1.0), 1e-9)
+        if prev is None:
+            rows = np.arange(count, dtype=np.int64)
+        else:
+            with timer.stage("dirty"):
+                rows = self._dirty_rows(prev, positions, moved, cell)
         grid = SpatialGrid(positions, cell_size=cell)
         need = min(k, count - 1)
         # The scalar schedule (initial_prefilter_radius, then doubling)
@@ -152,7 +271,7 @@ class SparseRoundEngine(BatchedRoundEngine):
         # sorted panel — the first query serves as the kth pre-pass.
         rho = np.full(count, floor)
         kth_known = np.zeros(count, dtype=bool)
-        pending = np.arange(count, dtype=np.int64)
+        pending = rows
         while pending.size:
             qrad = rho[pending].copy()
             with timer.stage("query"):
@@ -161,21 +280,9 @@ class SparseRoundEngine(BatchedRoundEngine):
                 )
             with timer.stage("candidates"):
                 counts_all = np.diff(cand_indptr)
-                total_cand = cand.shape[0]
-                _GRID_CANDIDATES.inc(total_cand)
-                owners = segment_ids(counts_all, total_cand)
-                sub_px = px[pending]
-                sub_py = py[pending]
-                dx = px[cand] - sub_px[owners]
-                dy = py[cand] - sub_py[owners]
-                dist = np.hypot(dx, dy)
-                dist_sq = dx * dx + dy * dy
-                # Nearest-first within each owner, stable on ties (the
-                # sweep's competitor order).  ``owners`` is already
-                # ascending, so it is its own sorted image.
-                order = np.lexsort((dist_sq, owners))
-                cand = cand[order]
-                dist = dist[order]
+                _GRID_CANDIDATES.inc(cand.shape[0])
+                owners = segment_ids(counts_all, cand.shape[0])
+                cand, dist = _nearest_first(px, py, pending, cand, owners)
 
             unknown = ~kth_known[pending]
             if unknown.any():
@@ -225,6 +332,9 @@ class SparseRoundEngine(BatchedRoundEngine):
                 comp_indptr = np.concatenate(
                     ([0], np.cumsum(comp_counts))
                 ).astype(np.int64)
+                # The candidate panels are spent: release them before the
+                # clip allocates its own (they set the round's peak memory).
+                del cand, dist, owners, sel_cand, sel_dist, sel_owner, keep
             with timer.stage("clip"):
                 vx, vy, piece_indptr, piece_owner = clip_cells_batch(
                     positions[act_nodes], px[comp], py[comp], comp_indptr,
@@ -269,16 +379,79 @@ class SparseRoundEngine(BatchedRoundEngine):
                 pending = pending[~drop]
 
         with timer.stage("emit"):
-            evx, evy, piece_indptr, piece_owner, vert_indptr = emit.finalize(
-                count
+            fresh = emit.finalize(count)
+            if prev is None:
+                pieces = fresh
+            else:
+                dirty = np.zeros(count, dtype=bool)
+                dirty[rows] = True
+                pieces = splice_pieces(prev.pieces, fresh, dirty)
+                used = np.where(dirty, used, prev.used)
+                search_radius = np.where(dirty, search_radius, prev.search_radius)
+        self._store(
+            config, area_pieces, alive_ids, positions, pieces, used,
+            search_radius, True, None if prev is None else (prev, rows),
+        )
+        return int(rows.size)
+
+    @staticmethod
+    def _dirty_rows(prev, positions, moved, cell) -> np.ndarray:
+        """Rows whose Lemma-1 computation can differ from ``prev``'s.
+
+        A row's output depends only on its own position and on the sites
+        its expanding search saw, all inside its final radius ``rho``.
+        So a row is dirty iff it moved or the old or new position of any
+        mover lies in its stored ``rho`` disk, tested with the grid's
+        own inclusive ``d^2 <= rho^2 + 1e-15`` rule (every query the
+        search made used a radius ``<= rho`` and that same rule).
+        """
+        count = positions.shape[0]
+        dirty = np.zeros(count, dtype=bool)
+        dirty[moved] = True
+        still = np.nonzero(~dirty)[0]
+        if still.size:
+            movers = SpatialGrid(
+                np.concatenate((prev.positions[moved], positions[moved])),
+                cell_size=cell,
             )
-            self._flat_regions = (evx, evy, vert_indptr, alive_ids)
-        return (
-            self._lazy_regions(
-                evx, evy, piece_indptr, piece_owner, alive_ids, px, py, k,
-                used, search_radius,
-            ),
-            0,
+            _, indptr = movers.query_radius_many(
+                positions[still], prev.search_radius[still]
+            )
+            dirty[still[np.diff(indptr) > 0]] = True
+        return np.nonzero(dirty)[0]
+
+    def _store(
+        self, config, area_pieces, alive_ids, positions, pieces, used,
+        search_radius, incremental, carried=None,
+    ) -> None:
+        """Adopt a finished round as the engine state.
+
+        ``carried`` is ``(prev, rows)`` for an incremental round: the
+        summaries of every row outside ``rows`` carry over (a row whose
+        pieces and position are unchanged has unchanged summaries).
+        """
+        vx, vy, piece_indptr, piece_owner, _ = pieces
+        count = alive_ids.shape[0]
+        if carried is None:
+            cx, cy, radius, ranges = (np.zeros(count) for _ in range(4))
+            stale = np.ones(count, dtype=bool)
+        else:
+            prev, rows = carried
+            cx, cy, radius, ranges = prev.cx, prev.cy, prev.radius, prev.ranges
+            stale = prev.stale
+            stale[rows] = True
+        regions = self._lazy_regions(
+            vx, vy, piece_indptr, piece_owner, alive_ids,
+            np.ascontiguousarray(positions[:, 0]),
+            np.ascontiguousarray(positions[:, 1]),
+            config.k, used, search_radius,
+        )
+        self._state = _RoundState(
+            config=config, area_pieces=area_pieces, alive_ids=alive_ids,
+            positions=positions, pieces=pieces, used=used,
+            search_radius=search_radius, regions=regions,
+            incremental=incremental, cx=cx, cy=cy, radius=radius,
+            ranges=ranges, stale=stale,
         )
 
     def _lazy_regions(
@@ -307,8 +480,8 @@ class SparseRoundEngine(BatchedRoundEngine):
 
     # ------------------------------------------------------------------
     def _compute_regions_exhaustive(
-        self, alive_ids, positions, area_pieces, k
-    ) -> Tuple[Dict[int, DominatingRegion], int]:
+        self, config, area_pieces, alive_ids, positions
+    ) -> None:
         """``prefilter=False`` path: every competitor, chunked by rows.
 
         Still avoids one big N×N allocation: candidate rows are
@@ -334,19 +507,14 @@ class SparseRoundEngine(BatchedRoundEngine):
                 np.arange(rows.size + 1, dtype=np.int64) * max(count - 1, 0)
             )
             vx, vy, piece_indptr, piece_owner = clip_cells_batch(
-                positions[rows], px[flat], py[flat], comp_indptr, area_pieces, k
+                positions[rows], px[flat], py[flat], comp_indptr, area_pieces,
+                config.k,
             )
             emit.extend_csr(vx, vy, piece_indptr, rows[piece_owner])
-        evx, evy, piece_indptr, piece_owner, vert_indptr = emit.finalize(count)
-        self._flat_regions = (evx, evy, vert_indptr, alive_ids)
-        used = np.full(count, count - 1, dtype=np.int64)
-        search_radius = np.full(count, math.inf)
-        return (
-            self._lazy_regions(
-                evx, evy, piece_indptr, piece_owner, alive_ids, px, py, k,
-                used, search_radius,
-            ),
-            0,
+        self._store(
+            config, area_pieces, alive_ids, positions, emit.finalize(count),
+            np.full(count, count - 1, dtype=np.int64), np.full(count, math.inf),
+            False,
         )
 
     # ------------------------------------------------------------------
@@ -355,43 +523,58 @@ class SparseRoundEngine(BatchedRoundEngine):
     def _summarize_vectorized(self, regions, max_hops) -> EngineRound:
         timer = self._stage_timer
         with timer.stage("summary"):
-            flat_x, flat_y, indptr, alive_ids = self._flat_regions
-            self._flat_regions = None
-            network = self.network
+            state = self._state
+            alive_ids = state.alive_ids
+            pos = state.positions
             count = alive_ids.shape[0]
-            pos = np.asarray(
-                [network.node(int(i)).position for i in alive_ids], dtype=float
-            ).reshape(count, 2)
-            cx, cy, radius = mec_batch(flat_x, flat_y, indptr)
-            counts = np.diff(indptr)
-            empty = counts == 0
-            # Empty region: the update is a no-op anchored at the site.
-            cx = np.where(empty, pos[:, 0] if count else cx, cx)
-            cy = np.where(empty, pos[:, 1] if count else cy, cy)
-            radius = np.where(empty, 0.0, radius)
-            ranges = np.zeros(count)
-            if flat_x.size:
-                vert_owner = segment_ids(counts, flat_x.shape[0])
-                dist_v = np.hypot(
-                    flat_x - pos[vert_owner, 0], flat_y - pos[vert_owner, 1]
-                )
-                group_start = np.nonzero(
-                    np.concatenate(([True], vert_owner[1:] != vert_owner[:-1]))
-                )[0]
-                ranges[vert_owner[group_start]] = np.maximum.reduceat(
-                    dist_v, group_start
-                )
-            displacements = np.hypot(pos[:, 0] - cx, pos[:, 1] - cy)
+            rows = np.nonzero(state.stale)[0]
+            if rows.size:
+                self._summarize_rows(state, rows)
+            displacements = np.hypot(pos[:, 0] - state.cx, pos[:, 1] - state.cy)
             centers = {
-                int(alive_ids[row]): (float(cx[row]), float(cy[row]))
+                int(alive_ids[row]): (float(state.cx[row]), float(state.cy[row]))
                 for row in range(count)
             }
         return EngineRound(
             regions=regions,
             centers=centers,
-            circumradii=radius.tolist(),
-            ranges_from_position=ranges.tolist(),
+            circumradii=state.radius.tolist(),
+            ranges_from_position=state.ranges.tolist(),
             displacements=displacements.tolist(),
             max_ring_hops=max_hops,
             profile=timer.result(threads=kernel_threads(), tier=kernel_tier()),
         )
+
+    @staticmethod
+    def _summarize_rows(state: _RoundState, rows: np.ndarray) -> None:
+        """Chebyshev circles and ranges of ``rows``, written into ``state``.
+
+        Every quantity is a per-row reduction (``mec_batch`` rows are
+        independent), so summarising a subset gives bitwise the values
+        a whole-block pass gives those rows.
+        """
+        flat_x, flat_y, _, _, vert_indptr = state.pieces
+        counts = np.diff(vert_indptr)[rows]
+        if rows.size == state.stale.shape[0]:
+            sub_x, sub_y, sub_indptr = flat_x, flat_y, vert_indptr
+        else:
+            gidx = ragged_indices(vert_indptr[rows], counts)
+            sub_x, sub_y = flat_x[gidx], flat_y[gidx]
+            sub_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+        pos = state.positions[rows]
+        cx, cy, radius = mec_batch(sub_x, sub_y, sub_indptr)
+        # Empty region: the update is a no-op anchored at the site.
+        empty = counts == 0
+        state.cx[rows] = np.where(empty, pos[:, 0], cx)
+        state.cy[rows] = np.where(empty, pos[:, 1], cy)
+        state.radius[rows] = np.where(empty, 0.0, radius)
+        ranges = np.zeros(rows.size)
+        if sub_x.size:
+            vert_owner = segment_ids(counts, sub_x.shape[0])
+            dist_v = np.hypot(sub_x - pos[vert_owner, 0], sub_y - pos[vert_owner, 1])
+            group_start = np.nonzero(
+                np.concatenate(([True], vert_owner[1:] != vert_owner[:-1]))
+            )[0]
+            ranges[vert_owner[group_start]] = np.maximum.reduceat(dist_v, group_start)
+        state.ranges[rows] = ranges
+        state.stale[rows] = False

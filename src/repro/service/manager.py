@@ -30,14 +30,16 @@ proceed concurrently.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import itertools
 import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.api.session import Simulation
+from repro.obs import trace as _trace
 from repro.obs.metrics import MetricsRegistry
 from repro.service.batching import (
     DEFAULT_MAX_EVENTS,
@@ -282,13 +284,12 @@ class SessionManager:
             name = f"session-{next(self._names)}"
         if name in self._sessions or name in self._reserved:
             raise DuplicateSessionError(f"session {name!r} already exists")
-        loop = asyncio.get_running_loop()
         # Reserve the name before awaiting so concurrent creates of the
         # same name cannot both pass the duplicate check.
         self._reserved.add(name)
         try:
-            simulation = await loop.run_in_executor(
-                self._pool, lambda: Simulation(**scenario_kwargs)
+            simulation = await self._run_in_pool(
+                lambda: Simulation(**scenario_kwargs)
             )
         finally:
             self._reserved.discard(name)
@@ -334,6 +335,18 @@ class SessionManager:
             record.blob = None
             self._sessions.pop(name, None)
 
+    def _run_in_pool(self, fn: Callable[[], Any]) -> "asyncio.Future[Any]":
+        """Run ``fn`` on the worker pool under a copy of the caller's context.
+
+        ``run_in_executor`` does not carry contextvars into the worker,
+        so without the copy every span a pooled call opens (a ``round``
+        under ``step``, say) would be a root instead of a child of the
+        request that caused it.
+        """
+        return asyncio.get_running_loop().run_in_executor(
+            self._pool, contextvars.copy_context().run, fn
+        )
+
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
@@ -356,7 +369,6 @@ class SessionManager:
                     f"session {name!r} is complete after "
                     f"{record.rounds_executed} round(s)"
                 )
-            loop = asyncio.get_running_loop()
 
             def run_rounds() -> List[Any]:
                 events = []
@@ -366,7 +378,8 @@ class SessionManager:
                     events.append(simulation.step())
                 return events
 
-            events = await loop.run_in_executor(self._pool, run_rounds)
+            with _trace.span("step", session=name, rounds=rounds):
+                events = await self._run_in_pool(run_rounds)
             self._after_step(record, simulation, events)
         await self._maybe_evict(exclude=name)
         payload = {"session": record.info()}
@@ -385,7 +398,6 @@ class SessionManager:
         record = self._record(name)
         async with record.lock:
             simulation = await self._ensure_live(record)
-            loop = asyncio.get_running_loop()
 
             def run_rounds() -> List[Any]:
                 events = []
@@ -396,7 +408,8 @@ class SessionManager:
                     events.append(simulation.step())
                 return events
 
-            events = await loop.run_in_executor(self._pool, run_rounds)
+            with _trace.span("step", session=name, until=round_target):
+                events = await self._run_in_pool(run_rounds)
             self._after_step(record, simulation, events)
         await self._maybe_evict(exclude=name)
         payload = {"session": record.info()}
@@ -426,10 +439,7 @@ class SessionManager:
         record = self._record(name)
         async with record.lock:
             simulation = await self._ensure_live(record)
-            loop = asyncio.get_running_loop()
-            result = await loop.run_in_executor(
-                self._pool, lambda: simulation.result().to_dict()
-            )
+            result = await self._run_in_pool(lambda: simulation.result().to_dict())
         await self._maybe_evict(exclude=name)
         return result
 
@@ -444,10 +454,7 @@ class SessionManager:
             if record.simulation is None:
                 return json.loads(record.blob or "null")
             simulation = record.simulation
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                self._pool, lambda: simulation.checkpoint().payload
-            )
+            return await self._run_in_pool(lambda: simulation.checkpoint().payload)
 
     # ------------------------------------------------------------------
     # Subscriptions
@@ -498,9 +505,8 @@ class SessionManager:
         blob = record.blob
         if blob is None:  # pragma: no cover - delete() holds the lock
             raise UnknownSessionError(record.name)
-        loop = asyncio.get_running_loop()
-        simulation = await loop.run_in_executor(
-            self._pool, lambda: Simulation.restore(json.loads(blob))
+        simulation = await self._run_in_pool(
+            lambda: Simulation.restore(json.loads(blob))
         )
         simulation.touch()
         record.simulation = simulation
@@ -547,10 +553,7 @@ class SessionManager:
             simulation = record.simulation
             if simulation is None:
                 return
-            loop = asyncio.get_running_loop()
-            blob = await loop.run_in_executor(
-                self._pool, lambda: simulation.checkpoint().to_json()
-            )
+            blob = await self._run_in_pool(lambda: simulation.checkpoint().to_json())
             record.blob = blob
             record.simulation = None
             record._evicted_idle_since = time.monotonic()

@@ -246,3 +246,38 @@ class TestCli:
         assert args.live_bytes_budget == 1_000_000
         assert args.workers == 2
         assert args.flush_count == 8 and args.flush_window == 0.5
+
+
+class TestTraceParentage:
+    def test_worker_spans_hang_under_their_request(self):
+        from repro.obs import trace
+
+        trace.stop_tracing()
+        scenario = dict(node_count=30, k=2, seed=3, max_rounds=10, engine="sparse")
+        with trace.tracing() as collector:
+            with ServiceThread(max_live_sessions=4) as svc:
+                url = svc.base_url
+                request("POST", url + "/sessions", {"name": "t", "scenario": scenario})
+                status, _ = request("POST", url + "/sessions/t/step", {"rounds": 1})
+                assert status == 200
+                status, _ = request("GET", url + "/sessions/t/result")
+                assert status == 200
+        rows = collector.rows()
+        by_id = {row["id"]: row for row in rows}
+
+        def ancestry(row):
+            names = [row["name"]]
+            while row["parent"]:
+                row = by_id[row["parent"]]
+                names.append(row["name"])
+            return names
+
+        # http_request -> step -> round -> engine stage, across the
+        # executor hop onto the worker thread.
+        clip = [r for r in rows if r["name"] == "clip"]
+        assert clip
+        assert ancestry(clip[0])[:4] == ["clip", "round", "step", "http_request"]
+        (round_row,) = [r for r in rows if r["name"] == "round"]
+        assert round_row["thread"].startswith("repro-service")
+        (result_row,) = [r for r in rows if r["name"] == "result"]
+        assert ancestry(result_row) == ["result", "http_request"]
