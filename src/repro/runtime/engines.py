@@ -374,6 +374,7 @@ class BatchedDistributedEngine(DistributedRoundEngine):
         step: float,
         max_radius: float,
         extend=None,
+        circle_inside: Optional[np.ndarray] = None,
     ) -> Tuple[List[int], float]:
         """Algorithm 2's information gathering over precomputed arrays.
 
@@ -390,6 +391,12 @@ class BatchedDistributedEngine(DistributedRoundEngine):
         where ``remap`` maps old candidate rows to rows of the new
         arrays — the new arrays must contain the old candidates in scan
         order so the RNG draw-order contract is preserved.
+
+        ``circle_inside``, when given, is a ``(levels, samples)`` boolean
+        array: row ``i`` is the free-area containment of the circle
+        samples of ring level ``i + 1`` (radius accumulated by
+        ``rho += step`` like this loop's), computed in batch by the
+        caller.  Levels past its last row compute containment here.
         """
         scheduler = self.scheduler
         sizes = self._exchange_sizes
@@ -397,9 +404,12 @@ class BatchedDistributedEngine(DistributedRoundEngine):
         known_order: List[int] = []
         known_dirty = True
         known_positions = cand_positions[:0]
+        precomputed = 0 if circle_inside is None else circle_inside.shape[0]
+        level = 0
         rho = 0.0
         while True:
             rho += step
+            level += 1
             if extend is not None:
                 grown = extend(rho)
                 if grown is not None:
@@ -426,14 +436,19 @@ class BatchedDistributedEngine(DistributedRoundEngine):
             if known_dirty:
                 known_positions = cand_positions[known_order]
                 known_dirty = False
-            if self._circle_dominated(site, rho / 2.0, known_positions):
+            inside = circle_inside[level - 1] if level <= precomputed else None
+            if self._circle_dominated(site, rho / 2.0, known_positions, inside):
                 break
             if rho >= max_radius:
                 break
         return known_order, rho
 
     def _circle_dominated(
-        self, site: Point, radius: float, neighbor_positions: np.ndarray
+        self,
+        site: Point,
+        radius: float,
+        neighbor_positions: np.ndarray,
+        inside: Optional[np.ndarray] = None,
     ) -> bool:
         """Vectorised Algorithm-2 half-radius check, decision-exact.
 
@@ -444,10 +459,14 @@ class BatchedDistributedEngine(DistributedRoundEngine):
         against ``own_distance - 1e-12`` exactly like the scalar loop
         (rule 2 of the kernels' numerical contract covers the 1-ulp
         hypot latitude — the 1e-12 tolerance dwarfs it).
+
+        ``inside``, when given, is the samples' containment mask
+        computed in batch by the caller (elementwise the same kernel).
         """
         sample_x = site[0] + radius * self._circle_cos
         sample_y = site[1] + radius * self._circle_sin
-        inside = self._containment.contains(sample_x, sample_y)
+        if inside is None:
+            inside = self._containment.contains(sample_x, sample_y)
         if not inside.any():
             return True
         if neighbor_positions.shape[0] == 0:

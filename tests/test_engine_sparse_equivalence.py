@@ -35,14 +35,19 @@ from repro.engine.kernels import (
 from repro.engine.sparse import SparseRoundEngine
 from repro.network.neighbors import SpatialGrid
 from repro.network.network import SensorNetwork
-from repro.regions.shapes import figure8_region_two, l_shaped_region, unit_square
+from repro.regions.shapes import (
+    figure8_region_one,
+    figure8_region_two,
+    l_shaped_region,
+    unit_square,
+)
 from repro.runtime.engines import (
     available_distributed_engines,
     make_distributed_engine,
 )
 from repro.runtime.failures import FailureInjector
 from repro.runtime.scheduler import SynchronousScheduler
-from repro.runtime.sparse import SparseDistributedEngine
+from repro.runtime.sparse import _GATHER_CHUNK, SparseDistributedEngine
 
 TOL = 1e-9
 
@@ -351,6 +356,119 @@ class TestDistributedSparseEquivalence:
         batched = _run_distributed("batched", 31 + k, drop_probability=0.05, k=k)
         sparse = _run_distributed("sparse", 31 + k, drop_probability=0.05, k=k)
         _assert_equivalent(batched, sparse)
+
+
+class TestChunkedLossyGather:
+    """The lossy gather batches per chunk of nodes; the draws stay exact."""
+
+    def test_multi_chunk_run_with_fallback_is_draw_exact(self, monkeypatch):
+        # Small gamma: a 4-ring horizon holds few nodes, so some walks
+        # outgrow it and take the per-node ``extend`` fallback.
+        fallback_queries = []
+        query_radius = SpatialGrid.query_radius
+
+        def counting_query_radius(grid, center, radius):
+            fallback_queries.append(radius)
+            return query_radius(grid, center, radius)
+
+        monkeypatch.setattr(SpatialGrid, "query_radius", counting_query_radius)
+
+        def run(engine):
+            network = SensorNetwork.from_random(
+                figure8_region_two(),
+                600,
+                comm_range=0.03,
+                rng=np.random.default_rng(5),
+            )
+            sim = Simulation(
+                network=network,
+                config=LaacadConfig(
+                    engine=engine, k=2, epsilon=2e-3, max_rounds=3
+                ),
+                kind="distributed",
+                drop_probability=0.1,
+            )
+            return sim, sim.run()
+
+        batched_sim, batched = run("batched")
+        assert not fallback_queries
+        sparse_sim, sparse = run("sparse")
+        assert len(sparse_sim.network.alive_nodes()) > 2 * _GATHER_CHUNK
+        assert fallback_queries
+        assert sparse.rounds_executed == batched.rounds_executed == 3
+        assert sparse.communication.dropped > 0
+        _assert_equivalent(batched, sparse)
+        assert dataclasses.asdict(sparse_sim.deployer.scheduler.stats) == (
+            dataclasses.asdict(batched_sim.deployer.scheduler.stats)
+        )
+        assert (
+            sparse_sim.deployer.scheduler._rng.bit_generator.state
+            == batched_sim.deployer.scheduler._rng.bit_generator.state
+        )
+
+
+class TestCircleContainmentBatch:
+    """One containment call equals the walk's per-node calls exactly."""
+
+    @staticmethod
+    def _edge_sites(region_factory):
+        if region_factory is l_shaped_region:
+            # Axis samples (cos/sin exactly 0 or +-1 up to 1e-16) land
+            # exactly on the outer edges and on the reflex vertex.
+            return [
+                (0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75),
+                (0.5, 0.25), (0.25, 0.5), (0.0, 0.0), (1.0, 0.5),
+            ]
+        # Around and inside the hole [0.4, 0.6]^2 of region I.
+        return [
+            (0.5, 0.5), (0.3, 0.5), (0.5, 0.3), (0.7, 0.7),
+            (0.4, 0.4), (0.6, 0.5), (0.25, 0.25), (0.75, 0.5),
+        ]
+
+    @pytest.mark.parametrize(
+        "region_factory", [l_shaped_region, figure8_region_one]
+    )
+    def test_matches_per_node_calls_elementwise(self, region_factory):
+        region = region_factory()
+        sites = self._edge_sites(region_factory) + [
+            tuple(p) for p in np.random.default_rng(3).random((24, 2)).tolist()
+        ]
+        network = SensorNetwork(region, sites, comm_range=0.1)
+        engine = SparseDistributedEngine(
+            network, LaacadConfig(k=2), SynchronousScheduler()
+        )
+        radii = np.asarray([0.05, 0.1, 0.125, 0.25, 0.5])
+        positions = np.asarray(sites)
+        batch = engine._circle_containment(
+            positions[:, 0], positions[:, 1], radii
+        )
+        assert batch.shape == (len(sites), radii.shape[0], 72)
+        for i, site in enumerate(sites):
+            for level, radius in enumerate(radii.tolist()):
+                expected = engine._containment.contains(
+                    site[0] + radius * engine._circle_cos,
+                    site[1] + radius * engine._circle_sin,
+                )
+                assert np.array_equal(batch[i, level], expected)
+        # Exactly-on-edge samples: the outer boundary counts as inside,
+        # a hole's boundary as free; (site, radius index, sample index).
+        if region_factory is l_shaped_region:
+            pinned = {
+                ((0.25, 0.25), 3, 36): True,  # (0, 0.25) on x = 0
+                ((0.25, 0.25), 3, 54): True,  # (0.25, 0) on y = 0
+                ((0.5, 0.25), 3, 18): True,  # (0.5, 0.5) reflex vertex
+                ((0.75, 0.75), 3, 54): True,  # (0.75, 0.5) on the notch
+                ((0.75, 0.75), 1, 0): False,  # (0.85, 0.75) in the notch
+            }
+        else:
+            pinned = {
+                ((0.3, 0.5), 1, 0): True,  # (0.4, 0.5) on the hole edge
+                ((0.3, 0.5), 2, 0): False,  # (0.425, 0.5) in the hole
+                ((0.5, 0.5), 1, 18): True,  # (0.5, 0.6) on the hole edge
+                ((0.5, 0.5), 0, 0): False,  # (0.55, 0.5) in the hole
+            }
+        for (site, level, sample), free in pinned.items():
+            assert batch[sites.index(site), level, sample] == free
 
 
 # ----------------------------------------------------------------------
