@@ -30,23 +30,14 @@ workloads and writes them to a committed JSON baseline.
 ``--suite pr9`` (writes ``BENCH_PR9.json``):
 
 * the sparse centralized and distributed round times at N in
-  {2000, 10000}, recorded for every *available* kernel tier (numpy
-  always; jit when numba imports) × worker count in {1, cores} — the
-  matrix the intra-round threading work (PR 9) is measured against;
+  {2000, 10000}, recorded per worker count in {1, cores} — the matrix
+  the intra-round threading work (PR 9) is measured against, stored
+  under the ``numpy`` kernel tier;
 * a thread-scaling section over the distributed N=10000 round:
   seconds and parallel efficiency per swept worker count, plus the
   count where scaling saturates (< 10% further improvement);
-* recording machines with one core (or without numba) simply record a
-  smaller matrix; ``--check`` replays whatever the baseline recorded
-  and skips tiers the checking machine cannot build.
-
-``--compare-tiers JIT.json NUMPY.json`` gates the jit tier against the
-numpy tier: every kernel-bound round measurement recorded in both
-PR7-format baselines must satisfy ``jit <= numpy * machine_scale *
-1.1`` (``--tier-factor``), where ``machine_scale`` is the calibration
-ratio between the two recordings.  CI records a fresh jit-tier
-baseline and compares it against the committed numpy one, so a jit
-kernel that silently degenerates to slower-than-numpy fails the job.
+* recording machines with one core simply record a smaller matrix;
+  ``--check`` replays whatever the baseline recorded.
 
 ``--suite service`` (writes ``BENCH_PR8.json``):
 
@@ -70,24 +61,13 @@ Usage::
     PYTHONPATH=src python benchmarks/export_bench.py --suite pr9    # write benchmarks/BENCH_PR9.json
     PYTHONPATH=src python benchmarks/export_bench.py --check benchmarks/BENCH_PR4.json
     PYTHONPATH=src python benchmarks/export_bench.py --check benchmarks/BENCH_PR9.json
-    PYTHONPATH=src python benchmarks/export_bench.py --compare-tiers jit.json benchmarks/BENCH_PR7.json
-    PYTHONPATH=src python benchmarks/export_bench.py --profile      # sparse per-stage breakdown
-    PYTHONPATH=src python benchmarks/export_bench.py --profile --threads 1,2,4
-    PYTHONPATH=src python benchmarks/export_bench.py --profile --profile-out profile.json
     PYTHONPATH=src python benchmarks/export_bench.py --check-overhead benchmarks/BENCH_PR9.json
 
-``--profile`` runs one sparse round per size with ``REPRO_PROFILE=1``
-and prints the per-stage wall-clock breakdown (gather / circle_check /
-clip / summary) the engines record on their round results — the
-first-stop view for future squeezes, replacing ad-hoc profiling runs.
-With ``--threads 1,2,4`` the profile becomes a sweep: each round runs
-once per worker count and every stage reports its parallel efficiency
-``t_1 / (t_n * n)`` against the serial run, showing exactly which
-stages scale and where the thread dimension saturates.
-``--profile-out PATH`` additionally writes the breakdown as JSON for
-machine diffing, and ``--check-overhead BENCH_PR9.json`` gates the
-*telemetry-disabled* hot path against the committed PR9 cells — the
-observability hooks must cost nothing when no trace is active.
+``--check-overhead BENCH_PR9.json`` gates the *telemetry-disabled* hot
+path against the committed PR9 cells — the observability hooks must
+cost nothing when no trace is active.  The per-stage breakdown of a
+round is its trace: every sparse engine stage runs under a span of
+that name (``perfbench/run.py --trace 1`` attributes them per layer).
 
 ``--check`` re-measures the regression-relevant subset (round times and
 the deployment transient; the sweep is skipped — its wall-clock is
@@ -121,14 +101,10 @@ SPARSE_OUT = Path(__file__).resolve().parent / "BENCH_PR7.json"
 SERVICE_OUT = Path(__file__).resolve().parent / "BENCH_PR8.json"
 PR9_OUT = Path(__file__).resolve().parent / "BENCH_PR9.json"
 
-#: Sizes of the tier × threads matrix (PR9 suite).  50k is left to the
-#: PR7 baseline — the matrix re-measures every cell, and the point here
-#: is tier/thread deltas, which 10k already resolves.
+#: Sizes of the threads matrix (PR9 suite).  50k is left to the PR7
+#: baseline — the matrix re-measures every cell, and the point here is
+#: thread deltas, which 10k already resolves.
 PR9_SIZES = (2000, 10000)
-#: Allowed jit-over-numpy ratio in ``--compare-tiers`` (after machine
-#: calibration): the jit tier must never be meaningfully slower than
-#: the numpy reference on a kernel-bound stage.
-TIER_COMPARE_FACTOR = 1.1
 
 ROUND_SIZES = (50, 200, 500)
 ENGINES = ("legacy", "batched")
@@ -420,100 +396,6 @@ def collect_sparse() -> Dict[str, object]:
     }
 
 
-def _stage_items(profile):
-    """Stage → seconds pairs, hottest first (``meta`` skipped upstream)."""
-    from repro.engine.profiling import profile_stages
-
-    return sorted(profile_stages(profile).items(), key=lambda kv: -kv[1])
-
-
-def _profiled_round(kind: str, n: int):
-    """One profiled sparse round; returns ``(total_seconds, profile)``."""
-    from repro.core.config import LaacadConfig
-    from repro.engine import make_engine
-    from repro.runtime.engines import make_distributed_engine
-    from repro.runtime.scheduler import SynchronousScheduler
-
-    network = _density_scaled_network(n)
-    config = LaacadConfig(k=2, engine="sparse")
-    if kind == "centralized":
-        engine = make_engine("sparse", network, config)
-        run = engine.compute_round
-    else:
-        scheduler = SynchronousScheduler()
-        engine = make_distributed_engine("sparse", network, config, scheduler)
-        scheduler.begin_round()
-        run = lambda: engine.run_round(0)  # noqa: E731
-    start = time.perf_counter()
-    result = run()
-    return time.perf_counter() - start, result.profile or {}
-
-
-def profile_sparse(sizes=SPARSE_SIZES, thread_counts=None, out=None) -> int:
-    """Per-stage breakdown of one sparse round per size (``--profile``).
-
-    Forces ``REPRO_PROFILE=1`` for the measured rounds and prints the
-    stage-name → seconds dict each sparse engine records on its round
-    result, for both the centralized and the distributed path.  With
-    ``thread_counts`` (the ``--threads`` sweep) every round runs once
-    per worker count and each stage additionally reports its parallel
-    efficiency ``t_1 / (t_n * n)`` against the serial measurement.
-    With ``out`` (``--profile-out``) the same measurements are also
-    written as machine-readable JSON — one row per (kind, size, threads)
-    with the total, the stage dict and the profile's ``meta`` — so two
-    profile runs can be diffed by a script instead of by eyeball.
-    """
-    import os
-
-    from repro.engine.jit_kernels import kernel_tier
-    from repro.engine.kernels import KERNEL_THREADS_ENV
-    from repro.engine.profiling import profile_meta
-
-    os.environ["REPRO_PROFILE"] = "1"
-    print(f"kernel tier: {kernel_tier()}")
-    counts = list(thread_counts) if thread_counts else [None]
-    rows = []
-    for n in sizes:
-        for kind in ("centralized", "distributed"):
-            serial_stages: Dict[str, float] = {}
-            for threads in counts:
-                if threads is not None:
-                    os.environ[KERNEL_THREADS_ENV] = str(threads)
-                total, profile = _profiled_round(kind, n)
-                stages = _stage_items(profile)
-                rows.append(
-                    {
-                        "kind": kind,
-                        "n": n,
-                        "threads": threads,
-                        "total_seconds": total,
-                        "stages": dict(stages),
-                        "meta": profile_meta(profile),
-                    }
-                )
-                tag = "" if threads is None else f" threads={threads}"
-                print(f"{kind} n={n}{tag}: {total:.3f}s  "
-                      + "  ".join(f"{name}={secs:.3f}" for name, secs in stages))
-                if threads == counts[0] and threads is not None:
-                    serial_stages = dict(stages)
-                elif threads is not None and serial_stages:
-                    effs = "  ".join(
-                        f"{name}={serial_stages[name] / (secs * threads):.2f}"
-                        for name, secs in stages
-                        if name in serial_stages and secs > 0.0
-                    )
-                    print(f"{kind} n={n} threads={threads} efficiency: {effs}")
-    if out is not None:
-        payload = {
-            "profile_format_version": 1,
-            "kernel_tier": kernel_tier(),
-            "rows": rows,
-        }
-        Path(out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {out}")
-    return 0
-
-
 def check_sparse(baseline_payload: Dict, factor: float) -> int:
     """Regression gate for the sparse-tier baseline (data-driven).
 
@@ -570,18 +452,12 @@ def check_sparse(baseline_payload: Dict, factor: float) -> int:
     return 0
 
 
-def _available_tiers():
-    from repro.engine.jit_kernels import numba_available
-
-    return ("numpy", "jit") if numba_available() else ("numpy",)
-
-
 def _pr9_matrix_cell(sizes) -> Dict[str, Dict[str, float]]:
-    """Round seconds for one (tier, threads) cell of the PR9 matrix.
+    """Round seconds for one threads cell of the PR9 matrix.
 
-    The tier and worker count are taken from the environment — the
-    caller owns ``REPRO_KERNELS`` / ``REPRO_KERNEL_THREADS`` so the
-    same cell code serves recording and checking.
+    The worker count is taken from the environment — the caller owns
+    ``REPRO_KERNEL_THREADS`` so the same cell code serves recording and
+    checking.
     """
     return {
         "sparse_centralized_round_seconds": measure_sparse_centralized_rounds(sizes),
@@ -590,32 +466,22 @@ def _pr9_matrix_cell(sizes) -> Dict[str, Dict[str, float]]:
 
 
 def collect_pr9() -> Dict[str, object]:
-    """The tier × threads matrix plus the thread-scaling sweep."""
+    """The threads matrix plus the thread-scaling sweep."""
     import os
+    from unittest import mock
 
-    from repro.engine.jit_kernels import KERNELS_ENV, numba_available
     from repro.engine.kernels import KERNEL_THREADS_ENV, _available_cores
 
     cores = _available_cores()
-    thread_counts = sorted({1, cores})
-    saved = {
-        key: os.environ.get(key) for key in (KERNELS_ENV, KERNEL_THREADS_ENV)
-    }
-    tiers: Dict[str, object] = {}
-    try:
-        for tier in _available_tiers():
-            os.environ[KERNELS_ENV] = tier
-            per_thread: Dict[str, object] = {}
-            for threads in thread_counts:
-                os.environ[KERNEL_THREADS_ENV] = str(threads)
-                per_thread[str(threads)] = _pr9_matrix_cell(PR9_SIZES)
-            tiers[tier] = {"threads": per_thread}
+    per_thread: Dict[str, object] = {}
+    with mock.patch.dict(os.environ):
+        for threads in sorted({1, cores}):
+            os.environ[KERNEL_THREADS_ENV] = str(threads)
+            per_thread[str(threads)] = _pr9_matrix_cell(PR9_SIZES)
 
-        # Thread-scaling sweep on the best available tier: distributed
-        # N=10k round at 1, 2, 4, ... cores; saturation is the largest
-        # count still buying >= 10% over the previous one.
-        sweep_tier = "jit" if numba_available() else "numpy"
-        os.environ[KERNELS_ENV] = sweep_tier
+        # Thread-scaling sweep: distributed N=10k round at 1, 2, 4, ...
+        # cores; saturation is the largest count still buying >= 10%
+        # over the previous one.
         sweep_counts = [1]
         while sweep_counts[-1] * 2 <= cores:
             sweep_counts.append(sweep_counts[-1] * 2)
@@ -628,93 +494,69 @@ def collect_pr9() -> Dict[str, object]:
             seconds[str(threads)] = measure_sparse_distributed_rounds(
                 (n_probe,)
             )[str(n_probe)]
-        saturation = sweep_counts[0]
-        for prev, cur in zip(sweep_counts, sweep_counts[1:]):
-            if seconds[str(cur)] < seconds[str(prev)] * 0.9:
-                saturation = cur
-            else:
-                break
-        serial = seconds[str(sweep_counts[0])]
-        thread_scaling = {
-            "tier": sweep_tier,
-            "workload": f"sparse_distributed_round_n{n_probe}",
-            "seconds": seconds,
-            "efficiency": {
-                key: serial / (value * int(key)) for key, value in seconds.items()
-            },
-            "saturation_threads": saturation,
-        }
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    saturation = sweep_counts[0]
+    for prev, cur in zip(sweep_counts, sweep_counts[1:]):
+        if seconds[str(cur)] < seconds[str(prev)] * 0.9:
+            saturation = cur
+        else:
+            break
+    serial = seconds[str(sweep_counts[0])]
+    thread_scaling = {
+        "tier": "numpy",
+        "workload": f"sparse_distributed_round_n{n_probe}",
+        "seconds": seconds,
+        "efficiency": {
+            key: serial / (value * int(key)) for key, value in seconds.items()
+        },
+        "saturation_threads": saturation,
+    }
 
     return {
         "bench_format_version": 1,
         "label": "PR9",
         "available_cores": cores,
-        "numba_available": numba_available(),
         "calibration_seconds": measure_calibration(),
-        "tiers": tiers,
+        "tiers": {"numpy": {"threads": per_thread}},
         "thread_scaling": thread_scaling,
     }
 
 
 def check_pr9(baseline_payload: Dict, factor: float) -> int:
-    """Regression gate for the tier × threads matrix baseline.
+    """Regression gate for the threads matrix baseline.
 
-    Every cell the baseline recorded is re-measured under the same
-    ``REPRO_KERNELS`` / ``REPRO_KERNEL_THREADS`` setting and compared
-    against ``baseline * machine_scale * factor``.  Tiers the checking
-    machine cannot build (jit without numba) are skipped with a note —
-    the numba CI leg covers them.
+    Every cell the baseline recorded (under its ``numpy`` tier) is
+    re-measured under the same ``REPRO_KERNEL_THREADS`` setting and
+    compared against ``baseline * machine_scale * factor``.
     """
     import os
+    from unittest import mock
 
-    from repro.engine.jit_kernels import KERNELS_ENV, numba_available
     from repro.engine.kernels import KERNEL_THREADS_ENV
 
     failures = []
     scale = measure_calibration() / baseline_payload["calibration_seconds"]
     print(f"machine-speed scale vs baseline: {scale:.2f}x\n")
 
-    saved = {
-        key: os.environ.get(key) for key in (KERNELS_ENV, KERNEL_THREADS_ENV)
-    }
-    try:
-        for tier, tier_data in baseline_payload["tiers"].items():
-            if tier == "jit" and not numba_available():
-                print(f"tier {tier}: skipped (numba not importable here; "
-                      f"the numba CI leg checks it)")
-                continue
-            os.environ[KERNELS_ENV] = tier
-            for threads, base_cell in tier_data["threads"].items():
-                os.environ[KERNEL_THREADS_ENV] = threads
-                sizes = tuple(
-                    int(n)
-                    for n in base_cell["sparse_distributed_round_seconds"]
-                )
-                cell = _pr9_matrix_cell(sizes)
-                for key, per_size in base_cell.items():
-                    for n, base_seconds in per_size.items():
-                        new_seconds = cell[key][n]
-                        label = f"{tier}/threads={threads} {key}[{n}]"
-                        status = "ok"
-                        if new_seconds > base_seconds * scale * factor:
-                            status = (
-                                f"REGRESSION (> {factor:.1f}x speed-scaled baseline)"
-                            )
-                            failures.append(label)
-                        print(f"{label:62s} baseline {base_seconds:8.3f}s "
-                              f"now {new_seconds:8.3f}s  {status}")
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    cells = baseline_payload["tiers"]["numpy"]["threads"]
+    with mock.patch.dict(os.environ):
+        for threads, base_cell in cells.items():
+            os.environ[KERNEL_THREADS_ENV] = threads
+            sizes = tuple(
+                int(n) for n in base_cell["sparse_distributed_round_seconds"]
+            )
+            cell = _pr9_matrix_cell(sizes)
+            for key, per_size in base_cell.items():
+                for n, base_seconds in per_size.items():
+                    new_seconds = cell[key][n]
+                    label = f"numpy/threads={threads} {key}[{n}]"
+                    status = "ok"
+                    if new_seconds > base_seconds * scale * factor:
+                        status = (
+                            f"REGRESSION (> {factor:.1f}x speed-scaled baseline)"
+                        )
+                        failures.append(label)
+                    print(f"{label:62s} baseline {base_seconds:8.3f}s "
+                          f"now {new_seconds:8.3f}s  {status}")
 
     if failures:
         print(f"\nFAILED: {len(failures)} regression(s): {', '.join(failures)}")
@@ -734,17 +576,15 @@ def check_overhead(baseline_payload: Dict, factor: float) -> int:
     """Telemetry-disabled overhead gate (``--check-overhead``).
 
     Replays the numpy/threads=1 N=2000 cells of a PR9-format baseline
-    with tracing and profiling both off — the default hot-path
-    configuration — and fails when either round exceeds ``baseline *
-    machine_scale * factor``.  This is the enforcement of the obs
+    with tracing off — the default hot-path configuration — and fails
+    when either round exceeds ``baseline * machine_scale * factor``.  This is the enforcement of the obs
     contract: with no active collector, every span site costs one
     module-global check, which must be invisible at round granularity.
     """
     import os
+    from unittest import mock
 
-    from repro.engine.jit_kernels import KERNELS_ENV
     from repro.engine.kernels import KERNEL_THREADS_ENV
-    from repro.engine.profiling import PROFILE_ENV
     from repro.obs import trace
 
     if trace.tracing_active():
@@ -774,51 +614,41 @@ def check_overhead(baseline_payload: Dict, factor: float) -> int:
     print(f"machine-speed scale vs baseline: {raw_scale:.2f}x "
           f"(applied: {scale:.2f}x, one-sided)\n")
 
-    saved = {
-        key: os.environ.get(key)
-        for key in (KERNELS_ENV, KERNEL_THREADS_ENV, PROFILE_ENV)
-    }
     try:
-        os.environ[KERNELS_ENV] = "numpy"
-        os.environ[KERNEL_THREADS_ENV] = "1"
-        os.environ.pop(PROFILE_ENV, None)
-        sizes = (PR9_SIZES[0],)
-        # A tight factor needs a converging best-of: single-cell
-        # readings wobble ±20% under background load, while the floor —
-        # which is what a hot-path attribute check would raise — is
-        # stable.  Replay the cell until every floor is under budget or
-        # the attempts run out; retries cannot mask a real regression
-        # because genuine overhead elevates the floor itself.
-        cell = _pr9_matrix_cell(sizes)
-        for _ in range(5):
-            if all(
-                cell[key][n] <= base_cell[key][n] * scale * factor
-                for key in cell
-                for n in cell[key]
-            ):
-                break
-            again = _pr9_matrix_cell(sizes)
-            for key, per_size in again.items():
-                for n, seconds in per_size.items():
-                    cell[key][n] = min(cell[key][n], seconds)
-        for key in sorted(cell):
-            for n in cell[key]:
-                base_seconds = base_cell[key][n]
-                new_seconds = cell[key][n]
-                label = f"telemetry-off {key}[{n}]"
-                status = "ok"
-                if new_seconds > base_seconds * scale * factor:
-                    status = f"REGRESSION (> {factor:.2f}x speed-scaled baseline)"
-                    failures.append(label)
-                print(f"{label:62s} baseline {base_seconds:8.3f}s "
-                      f"now {new_seconds:8.3f}s  {status}")
+        with mock.patch.dict(os.environ, {KERNEL_THREADS_ENV: "1"}):
+            sizes = (PR9_SIZES[0],)
+            # A tight factor needs a converging best-of: single-cell
+            # readings wobble ±20% under background load, while the
+            # floor — which is what a hot-path attribute check would
+            # raise — is stable.  Replay the cell until every floor is
+            # under budget or the attempts run out; retries cannot mask
+            # a real regression because genuine overhead elevates the
+            # floor itself.
+            cell = _pr9_matrix_cell(sizes)
+            for _ in range(5):
+                if all(
+                    cell[key][n] <= base_cell[key][n] * scale * factor
+                    for key in cell
+                    for n in cell[key]
+                ):
+                    break
+                again = _pr9_matrix_cell(sizes)
+                for key, per_size in again.items():
+                    for n, seconds in per_size.items():
+                        cell[key][n] = min(cell[key][n], seconds)
     finally:
         _CLOCK = saved_clock
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    for key in sorted(cell):
+        for n in cell[key]:
+            base_seconds = base_cell[key][n]
+            new_seconds = cell[key][n]
+            label = f"telemetry-off {key}[{n}]"
+            status = "ok"
+            if new_seconds > base_seconds * scale * factor:
+                status = f"REGRESSION (> {factor:.2f}x speed-scaled baseline)"
+                failures.append(label)
+            print(f"{label:62s} baseline {base_seconds:8.3f}s "
+                  f"now {new_seconds:8.3f}s  {status}")
 
     if failures:
         print(f"\nFAILED: telemetry hooks cost measurable time when disabled: "
@@ -826,53 +656,6 @@ def check_overhead(baseline_payload: Dict, factor: float) -> int:
         return 1
     print(f"\nOK: disabled telemetry within {factor:.2f}x of the "
           f"speed-scaled baseline")
-    return 0
-
-
-def compare_tiers(jit_path: Path, numpy_path: Path, factor: float) -> int:
-    """Gate the jit tier against the numpy tier (``--compare-tiers``).
-
-    Both arguments are PR7-format baselines (``kernel_tier`` records
-    which tier measured them).  Every kernel-bound round measurement
-    present in both files must satisfy ``jit <= numpy * machine_scale *
-    factor`` — a jit build that is slower than the numpy reference on
-    any kernel-bound stage is a regression, not an optimisation.
-    """
-    jit_payload = json.loads(jit_path.read_text())
-    ref_payload = json.loads(numpy_path.read_text())
-    print(f"jit baseline:   {jit_path} (tier {jit_payload.get('kernel_tier')})")
-    print(f"numpy baseline: {numpy_path} (tier {ref_payload.get('kernel_tier')})")
-    scale = jit_payload["calibration_seconds"] / ref_payload["calibration_seconds"]
-    print(f"machine-speed scale (jit machine vs numpy machine): {scale:.2f}x\n")
-
-    failures = []
-    compared = 0
-    for key in (
-        "sparse_centralized_round_seconds",
-        "sparse_distributed_round_seconds",
-    ):
-        jit_sizes = jit_payload["workloads"].get(key, {})
-        for n, ref_seconds in ref_payload["workloads"].get(key, {}).items():
-            jit_seconds = jit_sizes.get(n)
-            if jit_seconds is None:
-                continue
-            compared += 1
-            allowed = ref_seconds * scale * factor
-            status = "ok"
-            if jit_seconds > allowed:
-                status = f"REGRESSION (jit > {factor:.2f}x numpy)"
-                failures.append(f"{key}[{n}]")
-            print(f"{key + '[' + n + ']':55s} numpy {ref_seconds:8.3f}s "
-                  f"jit {jit_seconds:8.3f}s (allowed {allowed:8.3f}s)  {status}")
-
-    if compared == 0:
-        print("FAILED: the baselines share no kernel-bound measurements")
-        return 1
-    if failures:
-        print(f"\nFAILED: jit tier slower than numpy on: {', '.join(failures)}")
-        return 1
-    print(f"\nOK: jit tier within {factor:.2f}x of the numpy reference "
-          f"on all {compared} kernel-bound measurements")
     return 0
 
 
@@ -1152,45 +935,16 @@ def main(argv=None) -> int:
                              "baseline (the suite is picked from its label)")
     parser.add_argument("--factor", type=float, default=2.0,
                         help="allowed slowdown factor in --check mode (default 2.0)")
-    parser.add_argument("--compare-tiers", type=Path, nargs=2, default=None,
-                        metavar=("JIT_BASELINE", "NUMPY_BASELINE"),
-                        help="gate a jit-tier PR7-format baseline against the "
-                             "numpy-tier one (jit must not be slower than "
-                             "numpy * machine_scale * --tier-factor)")
-    parser.add_argument("--tier-factor", type=float, default=TIER_COMPARE_FACTOR,
-                        help="allowed jit/numpy ratio in --compare-tiers "
-                             f"(default {TIER_COMPARE_FACTOR})")
-    parser.add_argument("--profile", action="store_true",
-                        help="print the per-stage wall-clock breakdown of one "
-                             "sparse round per size (sets REPRO_PROFILE=1)")
-    parser.add_argument("--threads", type=str, default=None, metavar="N,N,...",
-                        help="with --profile: sweep REPRO_KERNEL_THREADS over "
-                             "these counts and report per-stage scaling "
-                             "efficiency (start the list at 1)")
-    parser.add_argument("--profile-out", type=Path, default=None, metavar="PATH",
-                        help="with --profile: also write the breakdown as "
-                             "machine-readable JSON for profile diffing")
     parser.add_argument("--check-overhead", type=Path, default=None,
                         metavar="PR9_BASELINE",
                         help="gate the telemetry-disabled hot path: replay the "
                              "numpy/threads=1 N=2000 cells of a PR9-format "
-                             "baseline with tracing/profiling off and fail on "
+                             "baseline with tracing off and fail on "
                              "any slowdown beyond --overhead-factor")
     parser.add_argument("--overhead-factor", type=float, default=OVERHEAD_FACTOR,
                         help="allowed telemetry-disabled slowdown in "
                              f"--check-overhead (default {OVERHEAD_FACTOR})")
     args = parser.parse_args(argv)
-
-    if args.profile:
-        thread_counts = (
-            [int(part) for part in args.threads.split(",") if part.strip()]
-            if args.threads
-            else None
-        )
-        return profile_sparse(thread_counts=thread_counts, out=args.profile_out)
-
-    if args.compare_tiers is not None:
-        return compare_tiers(*args.compare_tiers, factor=args.tier_factor)
 
     if args.check_overhead is not None:
         return check_overhead(
@@ -1225,11 +979,10 @@ def main(argv=None) -> int:
         out = args.out if args.out is not None else PR9_OUT
         out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {out}")
-        for tier, tier_data in payload["tiers"].items():
-            for threads, cell in tier_data["threads"].items():
-                dist = cell["sparse_distributed_round_seconds"]
-                print(f"{tier} threads={threads} distributed round: "
-                      + ", ".join(f"n={n} {t:.2f}s" for n, t in dist.items()))
+        for threads, cell in payload["tiers"]["numpy"]["threads"].items():
+            dist = cell["sparse_distributed_round_seconds"]
+            print(f"threads={threads} distributed round: "
+                  + ", ".join(f"n={n} {t:.2f}s" for n, t in dist.items()))
         scaling = payload["thread_scaling"]
         print(f"thread scaling ({scaling['tier']} {scaling['workload']}): "
               + ", ".join(f"{t}->{s:.2f}s" for t, s in scaling["seconds"].items())

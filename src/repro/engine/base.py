@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Dict, List, Tuple, Type
 
 from repro.geometry.primitives import Point, distance
 from repro.voronoi.dominating import DominatingRegion
@@ -49,8 +49,6 @@ class EngineRound:
             alive-node order (the stopping-rule quantity).
         max_ring_hops: deepest expanding-ring search of the round (only
             populated by the localized Algorithm-2 backend).
-        profile: per-stage wall-clock seconds when ``REPRO_PROFILE=1``
-            (see :mod:`repro.engine.profiling`); ``None`` otherwise.
     """
 
     regions: Dict[int, DominatingRegion]
@@ -59,7 +57,6 @@ class EngineRound:
     ranges_from_position: List[float]
     displacements: List[float]
     max_ring_hops: int = 0
-    profile: Optional[Dict[str, float]] = None
 
 
 def summarize_regions(

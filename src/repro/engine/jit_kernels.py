@@ -1,4 +1,4 @@
-"""Optional JIT kernel tier for the bandwidth-bound sparse kernels.
+"""Kernel seams of the bandwidth-bound sparse kernels.
 
 The sparse tier's hot loops are memory-bandwidth bound in NumPy: the
 per-pass body of :func:`~repro.engine.sparse_kernels.clip_cells_batch`
@@ -7,58 +7,33 @@ fused two-sided Sutherland–Hodgman over crossing pieces, and the ring
 compression that dedupes the emitted children) and the circle-check
 closer-counting panels of the distributed gather (every ``(known,
 sample)`` pair is expanded into a float64 panel).  This module gives
-each of them a *kernel seam* with two interchangeable implementations:
+each of them a *kernel seam*: one NumPy body that reproduces the exact
+array expressions the kernels used before the seam existed, so the seam
+changes no floats.
 
-* a **NumPy reference implementation** — always present, always the
-  equivalence oracle.  It reproduces the exact array expressions the
-  kernels used before the seam existed, so introducing the seam changes
-  no floats;
-* an optional **JIT implementation** compiled with ``numba`` on first
-  use.  The loop bodies use the same IEEE-754 operations in the same
-  grouping (no ``fastmath``), so half-plane values and clip vertices are
-  bitwise identical and every *decision* (first-event classification,
-  closer-count ``>= k`` verdicts, dedupe keep/drop) is identical; see
-  DESIGN.md "Kernel tiers" for the contract.  All JIT kernels compile
-  with ``nogil=True``: they read the flat piece pools / CSR descriptors
-  directly and write disjoint output slices, so independent chunks run
-  concurrently on the shared kernel thread pool
-  (``REPRO_KERNEL_THREADS``, see :mod:`repro.engine.kernels`).
-
-Tier selection is the ``REPRO_KERNELS`` environment knob:
-
-* ``auto`` (default) — JIT when ``numba`` imports, NumPy otherwise;
-* ``numpy`` — force the reference implementation;
-* ``jit`` — require numba; raises with a clear message when missing.
-  If numba *imports* but **compilation fails** (e.g. a corrupted or
-  unwritable cache directory), the tier degrades to numpy with a single
-  warning naming the knob instead of surfacing a raw numba traceback.
-
-``numba`` is an *optional* dependency: nothing in this module imports it
-at module load, and the loop-form kernel bodies are plain Python
-functions (compiled lazily on first JIT call), so they double as a slow
-but dependency-free oracle for the JIT code path in tests.
+The seams split their work into chunk-ordered ranges with disjoint
+outputs on the shared kernel thread pool (``REPRO_KERNEL_THREADS``, see
+:mod:`repro.engine.kernels`), so any worker count is bitwise identical
+to serial (``compress_rings`` runs inside the clip seam's chunks).  Plain-loop rewrites of each body live with the tests as
+oracles (``tests/kernel_oracles.py``); DESIGN.md "Kernel seams" has the
+contract.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.engine.kernels import (
     chunk_budget_bytes,
-    kernel_threads,
     run_chunk_tasks,
     split_ranges,
 )
 from repro.geometry.primitives import EPS
 
 __all__ = [
-    "KERNELS_ENV",
     "kernel_tier",
-    "numba_available",
     "halfplane_minmax",
     "closer_counts",
     "classify_first_events",
@@ -66,408 +41,13 @@ __all__ = [
     "compress_rings",
 ]
 
-#: Environment knob selecting the kernel tier: ``jit`` | ``numpy`` | ``auto``.
-KERNELS_ENV = "REPRO_KERNELS"
-
-_VALID_TIERS = ("auto", "numpy", "jit")
-
-#: Cached numba availability probe (None = not probed yet).
-_NUMBA_OK: Optional[bool] = None
-
-#: Set when numba imported but a kernel failed to compile: the tier
-#: permanently degrades to numpy for this process (one warning).
-_JIT_BROKEN = False
-
-#: Lazily compiled JIT kernels, keyed by seam name.
-_JIT_CACHE: Dict[str, Callable] = {}
-
-
-def numba_available() -> bool:
-    """Whether ``numba`` can be imported (probed once, then cached)."""
-    global _NUMBA_OK
-    if _NUMBA_OK is None:
-        try:
-            import numba  # noqa: F401
-
-            _NUMBA_OK = True
-        except ImportError:
-            _NUMBA_OK = False
-    return _NUMBA_OK
-
 
 def kernel_tier() -> str:
-    """Resolve ``REPRO_KERNELS`` to the effective tier: ``jit`` or ``numpy``.
+    """The kernel implementation every seam runs.
 
-    Read per call (not cached) so tests and benchmarks can flip the knob
-    at runtime; the JIT compilation cache persists across flips.  When a
-    previous JIT compilation failed (broken numba install/cache), the
-    resolution is ``numpy`` even for an explicit ``jit`` request — the
-    failure already warned once, naming the knob.
+    Always ``"numpy"``; kept because benchmark records report it.
     """
-    raw = os.environ.get(KERNELS_ENV, "auto").strip().lower() or "auto"
-    if raw not in _VALID_TIERS:
-        raise ValueError(
-            f"{KERNELS_ENV} must be one of {', '.join(_VALID_TIERS)}, got {raw!r}"
-        )
-    if raw == "numpy":
-        return "numpy"
-    if _JIT_BROKEN:
-        return "numpy"
-    if raw == "jit":
-        if not numba_available():
-            raise RuntimeError(
-                f"{KERNELS_ENV}=jit requires numba, which is not installed; "
-                f"install numba or use {KERNELS_ENV}=auto|numpy"
-            )
-        return "jit"
-    return "jit" if numba_available() else "numpy"
-
-
-# ----------------------------------------------------------------------
-# Loop-form kernel bodies (numba-compilable, plain-Python runnable)
-# ----------------------------------------------------------------------
-def _halfplane_minmax_loops(vx, vy, starts, counts, ca, cb, cc, pmax, pmin):
-    """Per-piece max/min of ``a*x + b*y - c`` over the piece's vertices.
-
-    Written in numba's nopython subset; the arithmetic is the exact
-    IEEE grouping of the NumPy reference (one multiply-add chain per
-    vertex, plain comparisons for the reductions), so JIT results are
-    bitwise identical.
-    """
-    for p in range(starts.shape[0]):
-        s = starts[p]
-        e = s + counts[p]
-        a = ca[p]
-        b = cb[p]
-        c = cc[p]
-        hi = -np.inf
-        lo = np.inf
-        for i in range(s, e):
-            v = a * vx[i] + b * vy[i] - c
-            if v > hi:
-                hi = v
-            if v < lo:
-                lo = v
-        pmax[p] = hi
-        pmin[p] = lo
-
-
-def _closer_counts_loops(
-    kx, ky, offsets, counts, sample_x, sample_y, threshold_sq, cap, k, out
-):
-    """Two-stage closer-than-node counting, fused per row.
-
-    Row ``r`` owns the ``counts[r]`` known positions at
-    ``kx/ky[offsets[r]:offsets[r] + counts[r]]``.  Stage 1 counts the
-    first ``min(counts[r], cap)`` knowns for every sample; only when a
-    sample is still short of ``k`` (and knowns remain) does stage 2 add
-    the remainder.  Comparisons use ``dx*dx + dy*dy < threshold_sq`` on
-    the same operands as the NumPy reference, so the counts compared
-    against ``k`` are identical.
-    """
-    n_rows, n_samples = sample_x.shape
-    for r in range(n_rows):
-        off = offsets[r]
-        n = counts[r]
-        use = n if n < cap else cap
-        short = False
-        for s in range(n_samples):
-            px = sample_x[r, s]
-            py = sample_y[r, s]
-            t = threshold_sq[r, s]
-            cnt = 0
-            for j in range(off, off + use):
-                dx = kx[j] - px
-                dy = ky[j] - py
-                if dx * dx + dy * dy < t:
-                    cnt += 1
-            out[r, s] = cnt
-            if cnt < k:
-                short = True
-        if short and n > cap:
-            for s in range(n_samples):
-                px = sample_x[r, s]
-                py = sample_y[r, s]
-                t = threshold_sq[r, s]
-                cnt = 0
-                for j in range(off + use, off + n):
-                    dx = kx[j] - px
-                    dy = ky[j] - py
-                    if dx * dx + dy * dy < t:
-                        cnt += 1
-                out[r, s] += cnt
-
-
-def _classify_first_events_loops(
-    pool_x, pool_y, pstart, pc, centry, nblk, ca, cb, cc, sep, eps,
-    first_out, kind_out,
-):
-    """First clip event per piece over its competitor lookahead block.
-
-    Piece ``p`` owns ``pc[p]`` pool vertices at ``pstart[p]`` and a
-    block of ``nblk[p]`` upcoming competitors whose bisector
-    coefficients sit contiguously at ``centry[p]`` in ``ca/cb/cc``.
-    Walking the block in order, a non-separated competitor is skipped
-    outright and a separated one whose signed maximum over the piece's
-    vertices is ``<= eps`` is untouched; the first other entry is the
-    event: kind 1 (all-out) when the signed minimum is ``>= -eps``,
-    else kind 2 (crossing).  ``first_out[p]`` is the event's block
-    position (``nblk[p]`` when none fired; ``kind_out[p]`` is 0 then).
-
-    Unlike the NumPy reference — which evaluates the whole block and
-    discards entries past the event — the walk stops at the event, so
-    the JIT tier does strictly less arithmetic for identical decisions.
-    """
-    for p in range(pstart.shape[0]):
-        s = pstart[p]
-        e = s + pc[p]
-        base = centry[p]
-        n = nblk[p]
-        evt = n
-        kind = 0
-        for b in range(n):
-            ci = base + b
-            if not sep[ci]:
-                continue
-            a = ca[ci]
-            bb = cb[ci]
-            c = cc[ci]
-            hi = -np.inf
-            lo = np.inf
-            for i in range(s, e):
-                v = a * pool_x[i] + bb * pool_y[i] - c
-                if v > hi:
-                    hi = v
-                if v < lo:
-                    lo = v
-            if hi <= eps:
-                continue
-            evt = b
-            if lo >= -eps:
-                kind = 1
-            else:
-                kind = 2
-            break
-        first_out[p] = evt
-        kind_out[p] = kind
-
-
-def _compress_ring_slot(x, y, start, m, eps):
-    """In-place ring compression of ``x/y[start : start + m]``.
-
-    Pass-for-pass analogue of the whole-array dedupe in the NumPy
-    reference: each pass compares every vertex against its predecessor
-    *in the current array* (pre-compaction values), removes all flagged
-    duplicates at once, and repeats until a pass removes nothing; then
-    trailing vertices cyclically within ``eps`` of the ring head are
-    dropped.  Returns the compressed vertex count.
-    """
-    while m > 0:
-        ndup = 0
-        w = 1
-        prevx = x[start]
-        prevy = y[start]
-        for r in range(1, m):
-            curx = x[start + r]
-            cury = y[start + r]
-            if abs(curx - prevx) <= eps and abs(cury - prevy) <= eps:
-                ndup += 1
-            else:
-                x[start + w] = curx
-                y[start + w] = cury
-                w += 1
-            prevx = curx
-            prevy = cury
-        m = w
-        if ndup == 0:
-            break
-    while (
-        m >= 2
-        and abs(x[start + m - 1] - x[start]) <= eps
-        and abs(y[start + m - 1] - y[start]) <= eps
-    ):
-        m -= 1
-    return m
-
-
-def _compress_rings_loops(x, y, starts, counts, eps, out_counts):
-    """Per-ring compression over rings already compacted into slots."""
-    for r in range(starts.shape[0]):
-        out_counts[r] = _compress_ring_slot(x, y, starts[r], counts[r], eps)
-
-
-def _clip_crossing_loops(
-    pool_x, pool_y, pstart, pc, ca, cb, cc, want_farther, eps, degen_eps,
-    slot_start, clo_x, clo_y, clo_n, far_x, far_y, far_n,
-):
-    """Fused two-sided Sutherland–Hodgman + ring compression per piece.
-
-    Piece ``p`` (``pc[p]`` pool vertices at ``pstart[p]``) is split by
-    its event bisector ``ca[p]*x + cb[p]*y - cc[p]``: the closer-side
-    child keeps ``value <= eps`` vertices, the farther-side child (only
-    when ``want_farther[p]``) keeps ``value >= -eps`` vertices, and
-    edge/bisector intersections are computed once and emitted to both
-    sides in the scalar append order ``[intersection, current vertex]``.
-    Children are written into the disjoint slot windows
-    ``[slot_start[p], slot_start[p] + 2*pc[p])`` of the output buffers
-    and compressed in place; ``clo_n/far_n[p]`` receive the final
-    counts.  The arithmetic is the exact IEEE grouping of the NumPy
-    reference (midpoint fallback for degenerate edges, clamped
-    interpolation parameter), so emitted vertices are bitwise identical.
-    """
-    for p in range(pstart.shape[0]):
-        s = pstart[p]
-        n = pc[p]
-        a = ca[p]
-        b = cb[p]
-        c = cc[p]
-        base = slot_start[p]
-        wantf = want_farther[p]
-        mclo = 0
-        mfar = 0
-        pvx = pool_x[s + n - 1]
-        pvy = pool_y[s + n - 1]
-        pval = a * pvx + b * pvy - c
-        for i in range(n):
-            cvx = pool_x[s + i]
-            cvy = pool_y[s + i]
-            cval = a * cvx + b * cvy - c
-            inside_c = cval <= eps
-            prev_in_c = pval <= eps
-            inside_f = cval >= -eps
-            prev_in_f = pval >= -eps
-            cross_c = inside_c != prev_in_c
-            cross_f = inside_f != prev_in_f
-            if cross_c or (wantf and cross_f):
-                denom = pval - cval
-                if abs(denom) <= degen_eps:
-                    ipx = (pvx + cvx) / 2.0
-                    ipy = (pvy + cvy) / 2.0
-                else:
-                    t = pval / denom
-                    if t <= 0.0:
-                        t = 0.0
-                    elif t >= 1.0:
-                        t = 1.0
-                    ipx = pvx + t * (cvx - pvx)
-                    ipy = pvy + t * (cvy - pvy)
-                if cross_c:
-                    clo_x[base + mclo] = ipx
-                    clo_y[base + mclo] = ipy
-                    mclo += 1
-                if wantf and cross_f:
-                    far_x[base + mfar] = ipx
-                    far_y[base + mfar] = ipy
-                    mfar += 1
-            if inside_c:
-                clo_x[base + mclo] = cvx
-                clo_y[base + mclo] = cvy
-                mclo += 1
-            if wantf and inside_f:
-                far_x[base + mfar] = cvx
-                far_y[base + mfar] = cvy
-                mfar += 1
-            pvx = cvx
-            pvy = cvy
-            pval = cval
-        clo_n[p] = _compress_ring_slot(clo_x, clo_y, base, mclo, eps)
-        if wantf:
-            far_n[p] = _compress_ring_slot(far_x, far_y, base, mfar, eps)
-        else:
-            far_n[p] = 0
-
-
-#: Dummy argument factories per seam: calling the freshly decorated
-#: dispatcher on a minimal concrete input forces compilation *inside*
-#: ``_get_jit``'s try block (numba compiles lazily on first call), so a
-#: broken numba install/cache surfaces there — and real calls hit the
-#: already-typed fast path.
-def _dummy_args(name: str) -> tuple:
-    f1 = np.zeros(1)
-    i1 = np.zeros(1, dtype=np.int64)
-    one = np.ones(1, dtype=np.int64)
-    if name == "halfplane_minmax":
-        return (f1, f1, i1, one, f1, f1, f1, np.empty(1), np.empty(1))
-    if name == "closer_counts":
-        panel = np.zeros((1, 1))
-        return (
-            f1, f1, i1, one, panel, np.zeros((1, 1)), np.ones((1, 1)),
-            np.int64(1), np.int64(1), np.zeros((1, 1), dtype=np.int64),
-        )
-    if name == "classify_first_events":
-        return (
-            f1, f1, i1, one, i1, one, f1, f1, f1,
-            np.ones(1, dtype=bool), 1e-9,
-            np.empty(1, dtype=np.int64), np.empty(1, dtype=np.int64),
-        )
-    if name == "compress_rings":
-        return (np.zeros(4), np.zeros(4), i1, one, 1e-9, np.empty(1, dtype=np.int64))
-    if name == "clip_crossing":
-        tri_x = np.asarray([0.0, 1.0, 0.0])
-        tri_y = np.asarray([0.0, 0.0, 1.0])
-        return (
-            tri_x, tri_y, i1, np.full(1, 3, dtype=np.int64),
-            np.ones(1), np.zeros(1), np.zeros(1), np.ones(1, dtype=bool),
-            1e-9, 1e-24, i1,
-            np.empty(6), np.empty(6), np.empty(1, dtype=np.int64),
-            np.empty(6), np.empty(6), np.empty(1, dtype=np.int64),
-        )
-    raise KeyError(name)
-
-
-def _get_jit(name: str) -> Optional[Callable]:
-    """Compile (once) and return the JIT build of a loop-form body.
-
-    Returns ``None`` — after a single :class:`RuntimeWarning` naming
-    ``REPRO_KERNELS`` — when numba imports but compilation fails (e.g. a
-    corrupted or unwritable cache directory); callers then fall through
-    to the NumPy reference and :func:`kernel_tier` resolves to
-    ``numpy`` for the rest of the process.
-    """
-    global _JIT_BROKEN, _compress_ring_slot
-    fn = _JIT_CACHE.get(name)
-    if fn is not None:
-        return fn
-    if _JIT_BROKEN:
-        return None
-    try:
-        import numba
-
-        njit = numba.njit(cache=False, fastmath=False, nogil=True)
-        if name in ("clip_crossing", "compress_rings") and "_ring_slot" not in _JIT_CACHE:
-            # The ring-compression helper is called from other JIT
-            # bodies, so numba must see it as a compiled dispatcher:
-            # rebind the module global before compiling the callers.
-            # (The dispatcher is still a callable, so the plain-Python
-            # loop-form oracles keep working unchanged.)
-            _compress_ring_slot = njit(_compress_ring_slot)
-            _JIT_CACHE["_ring_slot"] = _compress_ring_slot
-        body = {
-            "halfplane_minmax": _halfplane_minmax_loops,
-            "closer_counts": _closer_counts_loops,
-            "classify_first_events": _classify_first_events_loops,
-            "compress_rings": _compress_rings_loops,
-            "clip_crossing": _clip_crossing_loops,
-        }[name]
-        # Bodies stay serial per call (no ``parallel=True``): they
-        # release the GIL instead, and the seams split work into
-        # chunk-ordered, disjoint-output tasks on the shared kernel
-        # thread pool — deterministic for every worker count.
-        fn = njit(body)
-        fn(*_dummy_args(name))
-    except Exception as exc:
-        _JIT_BROKEN = True
-        warnings.warn(
-            f"{KERNELS_ENV}=jit kernel compilation failed "
-            f"({type(exc).__name__}: {exc}); falling back to the numpy "
-            f"kernel tier for this process. Set {KERNELS_ENV}=numpy to "
-            f"silence this warning.",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    _JIT_CACHE[name] = fn
-    return fn
+    return "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -486,32 +66,12 @@ def halfplane_minmax(
 
     Piece ``p`` spans ``vx/vy[starts[p] : starts[p] + counts[p]]``
     (``counts[p] >= 1``) and is evaluated against its own bisector
-    ``coeff_a[p]*x + coeff_b[p]*y - coeff_c[p]``.  The NumPy reference
-    is the pre-seam array expression (gather + elementwise + reduceat);
-    the JIT tier computes identical floats without materialising the
-    per-vertex value array.
+    ``coeff_a[p]*x + coeff_b[p]*y - coeff_c[p]``.  The body is the
+    pre-seam array expression (gather + elementwise + reduceat).
     """
     n_pieces = int(starts.shape[0])
     if n_pieces == 0:
         return np.zeros(0), np.zeros(0)
-    if kernel_tier() == "jit":
-        fn = _get_jit("halfplane_minmax")
-        if fn is not None:
-            pmax = np.empty(n_pieces)
-            pmin = np.empty(n_pieces)
-            run_chunk_tasks(
-                [
-                    (
-                        lambda lo=lo, hi=hi: fn(
-                            vx, vy, starts[lo:hi], counts[lo:hi],
-                            coeff_a[lo:hi], coeff_b[lo:hi], coeff_c[lo:hi],
-                            pmax[lo:hi], pmin[lo:hi],
-                        )
-                    )
-                    for lo, hi in split_ranges(n_pieces, min_per_worker=1024)
-                ]
-            )
-            return pmax, pmin
     ranges = split_ranges(n_pieces, min_per_worker=4096)
     if len(ranges) <= 1:
         return _halfplane_minmax_numpy(
@@ -537,7 +97,7 @@ def halfplane_minmax(
 
 
 def _halfplane_minmax_numpy(vx, vy, starts, counts, coeff_a, coeff_b, coeff_c):
-    """NumPy reference body of :func:`halfplane_minmax` (pre-seam exact)."""
+    """Body of :func:`halfplane_minmax` (pre-seam exact)."""
     n_pieces = int(starts.shape[0])
     total = int(counts.sum())
     if n_pieces == 1 or np.array_equal(
@@ -585,42 +145,12 @@ def closer_counts(
     out = np.zeros((n_rows, n_samples), dtype=np.int64)
     if n_rows == 0 or n_samples == 0:
         return out
-    if kernel_tier() == "jit":
-        fn = _get_jit("closer_counts")
-        if fn is not None:
-            off64 = offsets.astype(np.int64, copy=False)
-            cnt64 = counts.astype(np.int64, copy=False)
-            run_chunk_tasks(
-                [
-                    (
-                        lambda lo=lo, hi=hi: fn(
-                            kx, ky, off64[lo:hi], cnt64[lo:hi],
-                            sample_x[lo:hi], sample_y[lo:hi],
-                            threshold_sq[lo:hi], np.int64(cap), np.int64(k),
-                            out[lo:hi],
-                        )
-                    )
-                    for lo, hi in split_ranges(n_rows, min_per_worker=16)
-                ]
-            )
-            return out
-    _closer_counts_numpy(
-        kx, ky, offsets, counts, sample_x, sample_y, threshold_sq, cap, k, out
-    )
-    return out
-
-
-def _closer_counts_numpy(
-    kx, ky, offsets, counts, sample_x, sample_y, threshold_sq, cap, k, out
-):
-    """NumPy reference: chunked panels, both stages inside one row walk.
-
-    The panel expression is the pre-seam one (``kx[g][:, None] -
-    sample_x`` squared in place, summed, compared to ``threshold_sq``,
-    ``np.add.reduceat`` over owner groups), so counts are bitwise
-    identical to the historic two-pass implementation.
-    """
-    rows = np.arange(offsets.shape[0], dtype=np.int64)
+    # Chunked panels, both stages inside one row walk.  The panel
+    # expression is the pre-seam one (``kx[g][:, None] - sample_x``
+    # squared in place, summed, compared to ``threshold_sq``,
+    # ``np.add.reduceat`` over owner groups), so counts are bitwise
+    # identical to the historic two-pass implementation.
+    rows = np.arange(n_rows, dtype=np.int64)
     use = np.minimum(counts, cap)
     _panel_counts(
         kx, ky, offsets, use, rows, sample_x, sample_y, threshold_sq, out, add=False
@@ -639,6 +169,7 @@ def _closer_counts_numpy(
             out,
             add=True,
         )
+    return out
 
 
 def _panel_counts(
@@ -728,10 +259,9 @@ def classify_first_events(
     untouched) and its kind — 0 none, 1 all-out (signed minimum
     ``>= -eps``), 2 crossing.
 
-    The NumPy reference evaluates the whole block with the pre-seam
-    array expressions (identical floats, identical decisions); the JIT
-    tier walks each piece and stops at its first event.  Both split
-    into per-piece ranges for the kernel thread pool — outputs are
+    The body evaluates the whole block with the pre-seam array
+    expressions (identical floats, identical decisions), split into
+    per-piece ranges for the kernel thread pool — outputs are
     per-piece, so every worker count is bitwise identical.
     """
     n = int(pstart.shape[0])
@@ -739,24 +269,6 @@ def classify_first_events(
     evt_kind = np.empty(n, dtype=np.int64)
     if n == 0:
         return first_evt, evt_kind
-    if kernel_tier() == "jit":
-        fn = _get_jit("classify_first_events")
-        if fn is not None:
-            run_chunk_tasks(
-                [
-                    (
-                        lambda lo=lo, hi=hi: fn(
-                            pool_x, pool_y, pstart[lo:hi], pc[lo:hi],
-                            centry[lo:hi], nblk[lo:hi],
-                            coeff_a, coeff_b, coeff_c, separated, eps,
-                            first_evt[lo:hi], evt_kind[lo:hi],
-                        )
-                    )
-                    for lo, hi in split_ranges(n, min_per_worker=512)
-                ]
-            )
-            return first_evt, evt_kind
-
     def _range(lo: int, hi: int) -> Callable[[], None]:
         def task() -> None:
             _classify_first_events_numpy(
@@ -778,7 +290,7 @@ def _classify_first_events_numpy(
     pool_x, pool_y, pstart, pc, centry, nblk, coeff_a, coeff_b, coeff_c,
     separated, eps, first_out, kind_out,
 ):
-    """NumPy reference: the pre-seam block-expanded classification."""
+    """Body of :func:`classify_first_events`: the pre-seam block expansion."""
     blk_starts = np.cumsum(nblk) - nblk
     total_blk = int(nblk.sum())
     blk_piece = segment_ids(nblk, total_blk)
@@ -819,10 +331,9 @@ def clip_crossing_pieces(
     farther child of a budget-exhausted piece is discarded without
     being built).
 
-    Both tiers split the pieces into ranges for the kernel thread
-    pool; each range's outputs are compacted in chunk order (NumPy) or
-    written to disjoint slot windows of a shared buffer (JIT), so any
-    worker count reproduces the serial floats bitwise.
+    The pieces are split into ranges for the kernel thread pool and
+    each range's outputs are concatenated in chunk order, so any worker
+    count reproduces the serial floats bitwise.
     """
     n = int(pc.shape[0])
     if n == 0:
@@ -830,37 +341,6 @@ def clip_crossing_pieces(
         zc = np.zeros(0, dtype=np.int64)
         return z, z, zc, z.copy(), z.copy(), zc.copy()
     want = np.asarray(want_farther, dtype=bool)
-    if kernel_tier() == "jit":
-        fn = _get_jit("clip_crossing")
-        if fn is not None:
-            slot_start = 2 * (np.cumsum(pc) - pc).astype(np.int64)
-            cap = int(2 * pc.sum())
-            slot_clo_x = np.empty(cap)
-            slot_clo_y = np.empty(cap)
-            slot_far_x = np.empty(cap)
-            slot_far_y = np.empty(cap)
-            clo_counts = np.zeros(n, dtype=np.int64)
-            far_counts = np.zeros(n, dtype=np.int64)
-            run_chunk_tasks(
-                [
-                    (
-                        lambda lo=lo, hi=hi: fn(
-                            pool_x, pool_y, pstart[lo:hi], pc[lo:hi],
-                            coeff_a[lo:hi], coeff_b[lo:hi], coeff_c[lo:hi],
-                            want[lo:hi], eps, EPS * EPS, slot_start[lo:hi],
-                            slot_clo_x, slot_clo_y, clo_counts[lo:hi],
-                            slot_far_x, slot_far_y, far_counts[lo:hi],
-                        )
-                    )
-                    for lo, hi in split_ranges(n, min_per_worker=128)
-                ]
-            )
-            cidx = ragged_indices(slot_start, clo_counts)
-            fidx = ragged_indices(slot_start, far_counts)
-            return (
-                slot_clo_x[cidx], slot_clo_y[cidx], clo_counts,
-                slot_far_x[fidx], slot_far_y[fidx], far_counts,
-            )
     ranges = split_ranges(n, min_per_worker=512)
     parts = run_chunk_tasks(
         [
@@ -882,7 +362,7 @@ def clip_crossing_pieces(
 def _clip_crossing_numpy(
     pool_x, pool_y, pstart, pc, a_cross, b_cross, c_cross, want, eps
 ):
-    """NumPy reference: the pre-seam fused two-sided clip expressions."""
+    """Body of :func:`clip_crossing_pieces`: the pre-seam fused expressions."""
     ccounts = pc
     ctotal = int(ccounts.sum())
     cgather = ragged_indices(pstart, ccounts)
@@ -924,7 +404,7 @@ def _clip_crossing_numpy(
     emit_c = np.empty(n2, dtype=bool)
     emit_c[0::2] = cross_c
     emit_c[1::2] = inside_c
-    clo_x, clo_y, clo_counts = _compress_rings_numpy(
+    clo_x, clo_y, clo_counts = compress_rings(
         ex, ey, slot_piece, emit_c, ccounts.shape[0], eps
     )
     # The farther side exists only for pieces that still have clip
@@ -951,7 +431,7 @@ def _clip_crossing_numpy(
         emit_f = np.empty(nf2, dtype=bool)
         emit_f[0::2] = cross_f
         emit_f[1::2] = inside_f
-        far_x, far_y, fcnt = _compress_rings_numpy(
+        far_x, far_y, fcnt = compress_rings(
             fx, fy, slot_piece_f, emit_f, wsel.size, eps
         )
         far_counts[wsel] = fcnt
@@ -976,27 +456,9 @@ def compress_rings(
     array-pass analogues of the scalar running dedupe in
     ``split_ring_halfplane`` (identical except on chains of 3+ vertices
     that are pairwise but not transitively within ``eps``, which the
-    sparse tier's tolerance contract covers).  Rings are independent,
-    so the JIT tier's per-ring fixpoint reaches the identical result.
+    sparse tier's tolerance contract covers).  Whole-array dedupe
+    passes run until a fixpoint.
     """
-    if kernel_tier() == "jit":
-        fn = _get_jit("compress_rings")
-        if fn is not None:
-            x = ex[emit]
-            y = ey[emit]
-            counts = np.bincount(
-                ring_of_slot[emit], minlength=nrings
-            ).astype(np.int64)
-            starts = np.cumsum(counts) - counts
-            out_counts = np.empty(nrings, dtype=np.int64)
-            fn(x, y, starts, counts, eps, out_counts)
-            gidx = ragged_indices(starts, out_counts)
-            return x[gidx], y[gidx], out_counts
-    return _compress_rings_numpy(ex, ey, ring_of_slot, emit, nrings, eps)
-
-
-def _compress_rings_numpy(ex, ey, ring_of_slot, emit, nrings, eps):
-    """NumPy reference: whole-array dedupe passes until fixpoint."""
     x = ex[emit]
     y = ey[emit]
     ring = ring_of_slot[emit]

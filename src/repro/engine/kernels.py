@@ -147,8 +147,8 @@ def kernel_threads() -> int:
 #: Shared intra-round executor, built lazily and grown (never shrunk)
 #: to the largest worker count requested so far.  One pool serves every
 #: kernel seam of every engine in the process: the seams release the
-#: GIL for the bulk of their work (NumPy ufunc inner loops, numba
-#: ``nogil`` kernels), so chunks genuinely overlap.
+#: GIL for the bulk of their work (NumPy ufunc inner loops), so chunks
+#: genuinely overlap.
 _EXECUTOR = None
 _EXECUTOR_WORKERS = 0
 _EXECUTOR_LOCK = threading.Lock()

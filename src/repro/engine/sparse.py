@@ -39,8 +39,9 @@ engine replaces both:
   reuses the stored round outright.  DESIGN.md "Incremental rounds"
   has the argument.
 
-With ``REPRO_PROFILE=1`` the round result carries a per-stage timing
-dict (see :mod:`repro.engine.profiling`).
+Every stage (dirty / query / candidates / kth / clip / finish / emit /
+summary) runs under a trace span of that name, so a traced run
+(``REPRO_TRACE`` / ``--trace-out``) is the stage profile.
 
 Numerical contract: **tolerance, not bitwise** (see DESIGN.md "Sparse
 engine tier").  Results agree with the batched engine to well within
@@ -63,8 +64,8 @@ from repro.core.config import LaacadConfig
 from repro.engine.arrays import NodeArrayState
 from repro.engine.base import EngineRound, register_engine, summarize_regions
 from repro.engine.batch import BatchedRoundEngine
-from repro.engine.jit_kernels import kernel_tier, ragged_indices, segment_ids
-from repro.engine.kernels import chunk_budget_bytes, kernel_threads
+from repro.engine.jit_kernels import ragged_indices, segment_ids
+from repro.engine.kernels import chunk_budget_bytes
 from repro.engine.pieces import (
     EmittedPieces,
     LazyRegions,
@@ -72,7 +73,6 @@ from repro.engine.pieces import (
     materialize_pieces,
     splice_pieces,
 )
-from repro.engine.profiling import StageTimer
 from repro.engine.sparse_kernels import clip_cells_batch, mec_batch
 from repro.geometry.primitives import EPS
 from repro.network.neighbors import SpatialGrid
@@ -157,11 +157,9 @@ class SparseRoundEngine(BatchedRoundEngine):
     def __init__(self, network, config) -> None:
         super().__init__(network, config)
         self._state: Optional[_RoundState] = None
-        self._stage_timer: Optional[StageTimer] = None
 
     # ------------------------------------------------------------------
     def compute_regions(self) -> Tuple[Dict[int, DominatingRegion], int]:
-        self._stage_timer = StageTimer()
         if self.config.use_localized:
             self._state = None
             return self._compute_regions_localized()
@@ -236,7 +234,6 @@ class SparseRoundEngine(BatchedRoundEngine):
         ``rho`` verbatim, which is exactly what a full recompute would
         rebuild for it.  Returns the number of rows recomputed.
         """
-        timer = self._stage_timer
         k = config.k
         diameter = self.network.region.diameter
         count = positions.shape[0]
@@ -248,7 +245,7 @@ class SparseRoundEngine(BatchedRoundEngine):
         if prev is None:
             rows = np.arange(count, dtype=np.int64)
         else:
-            with timer.stage("dirty"):
+            with _trace.span("dirty"):
                 rows = self._dirty_rows(prev, positions, moved, cell)
         grid = SpatialGrid(positions, cell_size=cell)
         need = min(k, count - 1)
@@ -274,11 +271,11 @@ class SparseRoundEngine(BatchedRoundEngine):
         pending = rows
         while pending.size:
             qrad = rho[pending].copy()
-            with timer.stage("query"):
+            with _trace.span("query"):
                 cand, cand_indptr = grid.query_radius_many(
                     positions[pending], qrad
                 )
-            with timer.stage("candidates"):
+            with _trace.span("candidates"):
                 counts_all = np.diff(cand_indptr)
                 _GRID_CANDIDATES.inc(cand.shape[0])
                 owners = segment_ids(counts_all, cand.shape[0])
@@ -286,7 +283,7 @@ class SparseRoundEngine(BatchedRoundEngine):
 
             unknown = ~kth_known[pending]
             if unknown.any():
-                with timer.stage("kth"):
+                with _trace.span("kth"):
                     rows_u = np.nonzero(unknown)[0]
                     enough = counts_all[rows_u] >= need + 1
                     rows_e = rows_u[enough]
@@ -310,7 +307,7 @@ class SparseRoundEngine(BatchedRoundEngine):
             act_nodes = pending[act]
             rho_act = rho[act_nodes]
 
-            with timer.stage("candidates"):
+            with _trace.span("candidates"):
                 if act.size == pending.size:
                     sel_cand = cand
                     sel_dist = dist
@@ -335,13 +332,13 @@ class SparseRoundEngine(BatchedRoundEngine):
                 # The candidate panels are spent: release them before the
                 # clip allocates its own (they set the round's peak memory).
                 del cand, dist, owners, sel_cand, sel_dist, sel_owner, keep
-            with timer.stage("clip"):
+            with _trace.span("clip"):
                 vx, vy, piece_indptr, piece_owner = clip_cells_batch(
                     positions[act_nodes], px[comp], py[comp], comp_indptr,
                     area_pieces, k,
                 )
 
-            with timer.stage("finish"):
+            with _trace.span("finish"):
                 vert_counts = np.diff(piece_indptr)
                 total_verts = vx.shape[0]
                 site_rad = np.zeros(act.size)
@@ -378,7 +375,7 @@ class SparseRoundEngine(BatchedRoundEngine):
                 drop[act[finished]] = True
                 pending = pending[~drop]
 
-        with timer.stage("emit"):
+        with _trace.span("emit"):
             fresh = emit.finalize(count)
             if prev is None:
                 pieces = fresh
@@ -521,8 +518,7 @@ class SparseRoundEngine(BatchedRoundEngine):
     # Vectorized per-round summary
     # ------------------------------------------------------------------
     def _summarize_vectorized(self, regions, max_hops) -> EngineRound:
-        timer = self._stage_timer
-        with timer.stage("summary"):
+        with _trace.span("summary"):
             state = self._state
             alive_ids = state.alive_ids
             pos = state.positions
@@ -542,7 +538,6 @@ class SparseRoundEngine(BatchedRoundEngine):
             ranges_from_position=state.ranges.tolist(),
             displacements=displacements.tolist(),
             max_ring_hops=max_hops,
-            profile=timer.result(threads=kernel_threads(), tier=kernel_tier()),
         )
 
     @staticmethod

@@ -37,7 +37,6 @@ import numpy as np
 from repro.engine.jit_kernels import (
     classify_first_events,
     clip_crossing_pieces,
-    compress_rings,
     ragged_indices,
     segment_ids,
 )
@@ -50,16 +49,6 @@ Polygon = List[Point]
 #: Mirror of ``ClippingSweep._CUTOFF_MARGIN``: the slack added to the
 #: current site radius before a competitor is declared a provable no-op.
 _CUTOFF_MARGIN = 1e-7
-
-#: Ragged gather indices — the single-cumsum construction from the
-#: kernel-tier module (no ``np.repeat``); kept under the historic name
-#: for the existing call sites.
-_ragged_indices = ragged_indices
-
-
-#: Ring compression is a kernel seam now (see ``jit_kernels``); the
-#: historic name remains for existing call sites and tests.
-_compress_rings = compress_rings
 
 
 def _ring_areas(x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -327,13 +316,13 @@ def clip_cells_batch(
             pool_x = grown_x
             pool_y = grown_y
         if n_clo:
-            src = _ragged_indices(clo_starts[keep_closer], clo_keep_counts)
+            src = ragged_indices(clo_starts[keep_closer], clo_keep_counts)
             pool_x[pool_used : pool_used + n_clo] = clo_x[src]
             pool_y[pool_used : pool_used + n_clo] = clo_y[src]
         clo_child_start = pool_used + np.cumsum(clo_keep_counts) - clo_keep_counts
         pool_used += n_clo
         if n_far:
-            src = _ragged_indices(far_starts[keep_farther], far_keep_counts)
+            src = ragged_indices(far_starts[keep_farther], far_keep_counts)
             pool_x[pool_used : pool_used + n_far] = far_x[src]
             pool_y[pool_used : pool_used + n_far] = far_y[src]
         far_child_start = pool_used + np.cumsum(far_keep_counts) - far_keep_counts
@@ -385,7 +374,7 @@ def clip_cells_batch(
     all_po = np.concatenate(fin_po_parts)
     all_start = np.concatenate(fin_start_parts)
     order = np.argsort(all_po, kind="stable")
-    gidx = _ragged_indices(all_start[order], all_pc[order])
+    gidx = ragged_indices(all_start[order], all_pc[order])
     piece_indptr = np.concatenate(([0], np.cumsum(all_pc[order])))
     return (
         pool_x[gidx],

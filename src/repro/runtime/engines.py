@@ -100,8 +100,6 @@ class DistributedEngineRound:
         proposed_targets: the ``alpha``-step towards the center each
             node proposes, keyed by node id; only nodes whose
             displacement exceeds ``epsilon`` appear.
-        profile: per-stage wall-clock seconds when ``REPRO_PROFILE=1``
-            (see :mod:`repro.engine.profiling`); ``None`` otherwise.
     """
 
     regions: Dict[int, DominatingRegion]
@@ -110,7 +108,6 @@ class DistributedEngineRound:
     ranges_from_position: List[float]
     displacements: List[float]
     proposed_targets: Dict[int, Point]
-    profile: Optional[Dict[str, float]] = None
 
 
 def summarize_protocol_round(

@@ -47,13 +47,12 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.engine.jit_kernels import closer_counts, kernel_tier, segment_ids
-from repro.engine.kernels import kernel_threads
+from repro.engine.jit_kernels import closer_counts, segment_ids
 from repro.engine.pieces import LazyRegions, materialize_pieces
-from repro.engine.profiling import StageTimer
 from repro.engine.sparse_kernels import clip_cells_batch, mec_batch
 from repro.network.neighbors import SpatialGrid
 from repro.obs import metrics as _metrics
+from repro.obs import trace as _trace
 from repro.runtime.engines import (
     BatchedDistributedEngine,
     DistributedEngineRound,
@@ -107,7 +106,6 @@ class SparseDistributedEngine(BatchedDistributedEngine):
     def run_round(self, round_index: int) -> DistributedEngineRound:
         network = self.network
         config = self.config
-        self._stage_timer = StageTimer()
         area = network.region
         area_pieces = area.convex_pieces()
         gamma = network.comm_range
@@ -189,7 +187,6 @@ class SparseDistributedEngine(BatchedDistributedEngine):
         pair_ring = np.zeros(0, dtype=np.int64)
         pair_hops = np.zeros(0, dtype=np.int64)
 
-        timer = self._stage_timer
         fetched_levels = 0
         level = 0
         while active.any():
@@ -200,7 +197,7 @@ class SparseDistributedEngine(BatchedDistributedEngine):
                 # Fetch the next horizon block (doubling span) for the
                 # still-active owners.  All pairs of earlier rings have
                 # been processed, so the old pair state is obsolete.
-                with timer.stage("gather"):
+                with _trace.span("gather"):
                     span = max(2, fetched_levels)
                     new_fetched = level + span - 1
                     _extend_schedule(rhos, thresholds, new_fetched, step)
@@ -246,7 +243,7 @@ class SparseDistributedEngine(BatchedDistributedEngine):
 
             mask = (pair_ring == level) & active[pair_owner]
             if mask.any():
-                with timer.stage("gather"):
+                with _trace.span("gather"):
                     level_hops = pair_hops[mask]
                     scheduler.record_many(
                         np.repeat(level_hops, 2),
@@ -261,7 +258,7 @@ class SparseDistributedEngine(BatchedDistributedEngine):
                     known_y = np.concatenate((known_y, py[lvl_cand]))
 
             # Algorithm-2 stop checks for every active node at once.
-            with timer.stage("circle_check"):
+            with _trace.span("circle_check"):
                 rows_active = np.nonzero(active)[0]
                 sel = active[known_owner]
                 ko = known_owner[sel]
@@ -336,8 +333,8 @@ class SparseDistributedEngine(BatchedDistributedEngine):
         schedule (a subset count already >= k can only grow, so only
         rows with a still-short sample pay for the knowns beyond the
         first ``max(8, 4k)``) — is the fused
-        :func:`repro.engine.jit_kernels.closer_counts` kernel, shared
-        by the numpy and JIT tiers with decision-identical totals.
+        :func:`repro.engine.jit_kernels.closer_counts` kernel, whose
+        totals are decision-identical to a one-shot count.
         """
         a = sx.shape[0]
         n_samples = self._circle_cos.shape[0]
@@ -463,7 +460,6 @@ class SparseDistributedEngine(BatchedDistributedEngine):
         px = positions[:, 0]
         py = positions[:, 1]
         network = self.network
-        timer = self._stage_timer
         alive_rows = np.nonzero(alive)[0].astype(np.int64)
         n_alive = alive_rows.shape[0]
         known_parts: List[np.ndarray] = []
@@ -490,7 +486,7 @@ class SparseDistributedEngine(BatchedDistributedEngine):
 
         for first in range(0, n_alive, _GATHER_CHUNK):
             nodes = alive_rows[first : first + _GATHER_CHUNK]
-            with timer.stage("gather"):
+            with _trace.span("gather"):
                 cand, indptr = grid.query_radius_many(
                     positions[nodes], initial_horizon
                 )
@@ -501,9 +497,9 @@ class SparseDistributedEngine(BatchedDistributedEngine):
                 cand_positions = positions[cand]
                 ptr = np.zeros(nodes.shape[0] + 1, dtype=np.int64)
                 np.cumsum(np.bincount(owner, minlength=nodes.shape[0]), out=ptr[1:])
-            with timer.stage("circle_check"):
+            with _trace.span("circle_check"):
                 inside = self._circle_containment(px[nodes], py[nodes], half_radii)
-            with timer.stage("gather"):
+            with _trace.span("gather"):
                 bounds = ptr.tolist()
                 for local, node_index in enumerate(nodes.tolist()):
                     lo = bounds[local]
@@ -585,13 +581,12 @@ class SparseDistributedEngine(BatchedDistributedEngine):
         network = self.network
         config = self.config
         k = config.k
-        timer = self._stage_timer
         n_alive = alive_rows.shape[0]
         px = positions[:, 0]
         py = positions[:, 1]
         sx = px[alive_rows]
         sy = py[alive_rows]
-        with timer.stage("clip"):
+        with _trace.span("clip"):
             owner = segment_ids(np.diff(known_indptr), known_ids.shape[0])
             dx = px[known_ids] - sx[owner]
             dy = py[known_ids] - sy[owner]
@@ -634,7 +629,7 @@ class SparseDistributedEngine(BatchedDistributedEngine):
         # Vectorised summary: Chebyshev centers via mec_batch, ranges
         # and displacements via ragged reductions, move proposals with
         # the agent's exact update grouping.
-        with timer.stage("summary"):
+        with _trace.span("summary"):
             vert_owner = piece_owner[
                 segment_ids(np.diff(piece_indptr), vx.shape[0])
             ]
@@ -680,5 +675,4 @@ class SparseDistributedEngine(BatchedDistributedEngine):
             ranges_from_position=ranges.tolist(),
             displacements=displacements.tolist(),
             proposed_targets=proposed,
-            profile=timer.result(threads=kernel_threads(), tier=kernel_tier()),
         )

@@ -1,47 +1,45 @@
-"""Kernel-tier seam tests: env resolution, oracles, and piece emission.
+"""Kernel seam tests: plain-loop oracles, thread pool, piece emission.
 
-The sparse tier's two bandwidth-bound kernels live behind a seam in
-``repro.engine.jit_kernels`` with a NumPy reference implementation (the
-equivalence oracle, always present) and an optional numba-compiled
-tier.  These tests pin the contract from DESIGN.md "Kernel tiers":
+The sparse tier's bandwidth-bound kernels live behind seams in
+``repro.engine.jit_kernels``, each with one NumPy body.  These tests pin
+the contract from DESIGN.md "Kernel seams":
 
-* ``REPRO_KERNELS`` resolves to ``numpy``/``jit`` with clear errors for
-  invalid values and for ``jit`` without numba;
-* the loop-form kernel bodies (the exact code numba compiles) agree
-  with the NumPy implementations — bitwise for half-plane values,
-  decision-exactly for closer counts;
+* the plain-loop oracles in ``kernel_oracles`` agree with the seams —
+  bitwise for half-plane values, first events, clip vertices and ring
+  compression, decision-exactly for closer counts — at every
+  ``REPRO_KERNEL_THREADS`` setting, degenerate inputs included
+  (zero-crossing pass, all-out first event, rings collapsing below 3
+  vertices, non-separated competitors);
+* the kernel thread pool's chunk-ordered reduction and range split;
 * :class:`repro.engine.pieces.PieceAccumulator` reproduces the historic
   owner-then-discovery piece order of the ``_stash_pieces`` loop it
   replaced.
-
-The JIT-tier tests run only when numba is importable; CI exercises both
-legs (see ``.github/workflows/ci.yml``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-
-import repro.engine.jit_kernels as jk
-from repro.engine.jit_kernels import (
-    KERNELS_ENV,
+from kernel_oracles import (
     _classify_first_events_loops,
     _clip_crossing_loops,
     _closer_counts_loops,
     _compress_rings_loops,
     _halfplane_minmax_loops,
+)
+
+from repro.engine.jit_kernels import (
     classify_first_events,
     clip_crossing_pieces,
     closer_counts,
     compress_rings,
     halfplane_minmax,
     kernel_tier,
-    numba_available,
     ragged_indices,
     segment_ids,
 )
 from repro.engine.kernels import (
+    CHUNK_BYTES_ENV,
     KERNEL_THREADS_ENV,
     kernel_threads,
     plan_chunks,
@@ -49,11 +47,13 @@ from repro.engine.kernels import (
     split_ranges,
 )
 from repro.engine.pieces import PieceAccumulator
+from repro.geometry.primitives import EPS as GEOM_EPS
 
-#: The worker counts every seam determinism test sweeps: serial (the
-#: bitwise-anchored path), an even split, and a prime that leaves a
-#: ragged tail range.
+#: The worker counts every seam test sweeps: serial (the bitwise-anchored
+#: path), an even split, and a prime that leaves a ragged tail range.
 THREAD_COUNTS = pytest.mark.parametrize("threads", [1, 2, 7])
+
+EPS = 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -100,10 +100,72 @@ def _classify_problem(rng, n_pieces=60, max_verts=8, max_blk=6):
     return vx, vy, starts, counts, centry, nblk, ca, cb, cc, sep
 
 
+def _classify_case(rng, case, n_pieces=60):
+    """A classification problem, optionally forced into a degenerate case."""
+    vx, vy, starts, counts, centry, nblk, ca, cb, cc, sep = _classify_problem(
+        rng, n_pieces=n_pieces
+    )
+    if case == "zero_event":
+        # Every bisector far on the negative side: nothing fires.
+        cc = np.full_like(cc, 100.0)  # value = a*x + b*y - 100 << -eps
+    elif case == "all_out":
+        # Every bisector strictly positive over every vertex.
+        ca = np.ones_like(ca)
+        cb = np.zeros_like(cb)
+        cc = np.full_like(cc, -100.0)  # value = x + 100 >> eps
+    elif case == "non_separated":
+        sep = np.zeros_like(sep)
+    return vx, vy, starts, counts, centry, nblk, ca, cb, cc, sep
+
+
+def _random_rings(rng, n_pieces=50):
+    counts = rng.integers(3, 9, size=n_pieces).astype(np.int64)
+    starts = (np.cumsum(counts) - counts).astype(np.int64)
+    total = int(counts.sum())
+    # Rings scattered around distinct centers so the random bisectors
+    # produce a healthy mix of crossing/one-sided cases.
+    centers = rng.uniform(-3.0, 3.0, size=(n_pieces, 2))
+    seg = np.repeat(np.arange(n_pieces), counts)
+    vx = centers[seg, 0] + rng.uniform(-0.5, 0.5, size=total)
+    vy = centers[seg, 1] + rng.uniform(-0.5, 0.5, size=total)
+    ca = rng.uniform(-1.0, 1.0, size=n_pieces)
+    cb = rng.uniform(-1.0, 1.0, size=n_pieces)
+    cc = rng.uniform(-1.0, 1.0, size=n_pieces)
+    want = rng.random(n_pieces) < 0.7
+    return vx, vy, starts, counts, ca, cb, cc, want
+
+
+#: Offset of the vertical bisector ``x = c`` cutting the unit triangle
+#: ``(0,0), (1,0), (0,1)`` in each degenerate clip case.
+_TRIANGLE_CUTS = {
+    # x = 10 far right: closer child is the whole ring, farther empty.
+    "zero_crossing": 10.0,
+    # x = -10 far left: the whole ring moves to the farther side.
+    "all_out": -10.0,
+    # x = 0 grazes the left edge: the closer child collapses below 3
+    # vertices, the farther child keeps the full triangle.
+    "through_vertex": 0.0,
+}
+
+
+def _triangle_case(case, n_pieces=1):
+    """``n_pieces`` copies of the unit triangle and one cut per copy."""
+    vx = np.tile([0.0, 1.0, 0.0], n_pieces)
+    vy = np.tile([0.0, 0.0, 1.0], n_pieces)
+    starts = np.arange(0, 3 * n_pieces, 3, dtype=np.int64)
+    counts = np.full(n_pieces, 3, dtype=np.int64)
+    ca = np.ones(n_pieces)
+    cb = np.zeros(n_pieces)
+    cc = np.full(n_pieces, _TRIANGLE_CUTS[case])
+    want = np.ones(n_pieces, dtype=bool)
+    return vx, vy, starts, counts, ca, cb, cc, want
+
+
+# ----------------------------------------------------------------------
+# Loop-oracle drivers: run a scalar body into fresh output buffers
+# ----------------------------------------------------------------------
 def _clip_loops_oracle(pool_x, pool_y, pstart, pc, ca, cb, cc, want, eps):
     """Run the scalar clip body through slot buffers and compact."""
-    from repro.geometry.primitives import EPS
-
     slot_start = (2 * (np.cumsum(pc) - pc)).astype(np.int64)
     cap = int(2 * pc.sum())
     clo_x = np.empty(cap)
@@ -113,7 +175,7 @@ def _clip_loops_oracle(pool_x, pool_y, pstart, pc, ca, cb, cc, want, eps):
     clo_n = np.zeros(pc.shape[0], dtype=np.int64)
     far_n = np.zeros(pc.shape[0], dtype=np.int64)
     _clip_crossing_loops(
-        pool_x, pool_y, pstart, pc, ca, cb, cc, want, eps, EPS * EPS,
+        pool_x, pool_y, pstart, pc, ca, cb, cc, want, eps, GEOM_EPS * GEOM_EPS,
         slot_start, clo_x, clo_y, clo_n, far_x, far_y, far_n,
     )
     cidx = ragged_indices(slot_start, clo_n)
@@ -121,60 +183,37 @@ def _clip_loops_oracle(pool_x, pool_y, pstart, pc, ca, cb, cc, want, eps):
     return clo_x[cidx], clo_y[cidx], clo_n, far_x[fidx], far_y[fidx], far_n
 
 
+def _compress_loops_oracle(ex, ey, ring_of_slot, emit, nrings, eps):
+    """Compact the emitted slots per ring, then compress each in place."""
+    x = ex[emit]
+    y = ey[emit]
+    counts = np.bincount(ring_of_slot[emit], minlength=nrings).astype(np.int64)
+    starts = np.cumsum(counts) - counts
+    out_counts = np.empty(nrings, dtype=np.int64)
+    _compress_rings_loops(x, y, starts, counts, eps, out_counts)
+    gidx = ragged_indices(starts, out_counts)
+    return x[gidx], y[gidx], out_counts
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
 
 
-# ----------------------------------------------------------------------
-# REPRO_KERNELS resolution
-# ----------------------------------------------------------------------
-class TestTierResolution:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv(KERNELS_ENV, raising=False)
-        assert kernel_tier() == ("jit" if numba_available() else "numpy")
-
-    def test_blank_value_means_auto(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "  ")
-        assert kernel_tier() == ("jit" if numba_available() else "numpy")
-
-    def test_numpy_forced(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        assert kernel_tier() == "numpy"
-
-    def test_case_insensitive(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, " NumPy ")
-        assert kernel_tier() == "numpy"
-
-    def test_invalid_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "fortran")
-        with pytest.raises(ValueError, match="fortran"):
-            kernel_tier()
-
-    def test_jit_without_numba_raises(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "jit")
-        monkeypatch.setattr(jk, "_NUMBA_OK", False)
-        with pytest.raises(RuntimeError, match="numba"):
-            kernel_tier()
-
-    def test_auto_without_numba_falls_back(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "auto")
-        monkeypatch.setattr(jk, "_NUMBA_OK", False)
-        assert kernel_tier() == "numpy"
-
-    def test_auto_with_numba_selects_jit(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "auto")
-        monkeypatch.setattr(jk, "_NUMBA_OK", True)
-        assert kernel_tier() == "jit"
+def test_kernel_tier_is_numpy():
+    assert kernel_tier() == "numpy"
 
 
 # ----------------------------------------------------------------------
-# Loop-form bodies as dependency-free oracles of the NumPy seam
+# Half-plane extrema and closer counts
 # ----------------------------------------------------------------------
 class TestLoopFormOracles:
-    def test_halfplane_loops_bitwise_match_numpy(self, rng, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        vx, vy, starts, counts, ca, cb, cc = _ragged_pieces(rng)
+    @THREAD_COUNTS
+    def test_halfplane_loops_bitwise_match_numpy(self, rng, threads, monkeypatch):
+        monkeypatch.setenv(KERNEL_THREADS_ENV, str(threads))
+        # 9000 pieces > 2 * min_per_worker(4096): the seam splits into
+        # multiple worker ranges when threads > 1.
+        vx, vy, starts, counts, ca, cb, cc = _ragged_pieces(rng, n_pieces=9000)
         pmax, pmin = halfplane_minmax(vx, vy, starts, counts, ca, cb, cc)
         lmax = np.empty_like(pmax)
         lmin = np.empty_like(pmin)
@@ -183,9 +222,15 @@ class TestLoopFormOracles:
         np.testing.assert_array_equal(pmax, lmax)
         np.testing.assert_array_equal(pmin, lmin)
 
+    @THREAD_COUNTS
     @pytest.mark.parametrize("cap", [1, 4, 16, 1000])
-    def test_closer_counts_decisions_match_loops(self, rng, cap, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
+    def test_closer_counts_decisions_match_loops(
+        self, rng, cap, threads, monkeypatch
+    ):
+        monkeypatch.setenv(KERNEL_THREADS_ENV, str(threads))
+        # A few-KiB budget: the panel pass splits into many chunks, which
+        # the pool runs concurrently when threads > 1.
+        monkeypatch.setenv(CHUNK_BYTES_ENV, "4096")
         k = 2
         kx, ky, offsets, counts, sx, sy, tsq = _counting_problem(rng)
         out_np = closer_counts(kx, ky, offsets, counts, sx, sy, tsq, cap, k)
@@ -233,54 +278,36 @@ class TestLoopFormOracles:
 # ----------------------------------------------------------------------
 # Clip-pass seams: classification, fused two-sided clip, compression
 # ----------------------------------------------------------------------
-EPS = 1e-9
-
-
 class TestClassifyFirstEvents:
     @THREAD_COUNTS
-    def test_loops_bitwise_match_numpy_seam(self, rng, threads, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
+    @pytest.mark.parametrize(
+        "case", ["random", "zero_event", "all_out", "non_separated"]
+    )
+    def test_loops_bitwise_match_numpy_seam(self, rng, case, threads, monkeypatch):
         monkeypatch.setenv(KERNEL_THREADS_ENV, str(threads))
-        # Big enough that the numpy seam genuinely splits into multiple
-        # worker ranges (min_per_worker=2048) when threads > 1.
-        vx, vy, starts, counts, centry, nblk, ca, cb, cc, sep = (
-            _classify_problem(rng, n_pieces=4500)
-        )
-        first, kind = classify_first_events(
-            vx, vy, starts, counts, centry, nblk, ca, cb, cc, sep, EPS
-        )
+        # Big enough that the seam genuinely splits into multiple worker
+        # ranges (min_per_worker=2048) when threads > 1.
+        problem = _classify_case(rng, case, n_pieces=4500)
+        first, kind = classify_first_events(*problem, EPS)
         lf = np.empty_like(first)
         lk = np.empty_like(kind)
-        _classify_first_events_loops(
-            vx, vy, starts, counts, centry, nblk, ca, cb, cc, sep, EPS, lf, lk
-        )
+        _classify_first_events_loops(*problem, EPS, lf, lk)
         np.testing.assert_array_equal(first, lf)
         np.testing.assert_array_equal(kind, lk)
 
-    def test_zero_event_pass(self, rng, monkeypatch):
-        # Every bisector far on the negative side: the whole block is
-        # untouched, so no event fires — first_evt parks at nblk.
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        vx, vy, starts, counts, centry, nblk, ca, cb, cc, sep = (
-            _classify_problem(rng)
-        )
-        cc = np.full_like(cc, 100.0)  # value = a*x + b*y - 100 << -eps
-        first, kind = classify_first_events(
-            vx, vy, starts, counts, centry, nblk, ca, cb, cc, sep, EPS
-        )
+    def test_zero_event_pass(self, rng):
+        # The whole block is untouched, so no event fires — first_evt
+        # parks at nblk.
+        problem = _classify_case(rng, "zero_event")
+        first, kind = classify_first_events(*problem, EPS)
         np.testing.assert_array_equal(kind, 0)
-        np.testing.assert_array_equal(first, nblk)
+        np.testing.assert_array_equal(first, problem[5])
 
-    def test_all_out_first_event(self, rng, monkeypatch):
-        # Every separated bisector strictly positive over every vertex:
-        # the first separated block entry is an all-out (kind 1) event.
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        vx, vy, starts, counts, centry, nblk, ca, cb, cc, sep = (
-            _classify_problem(rng)
+    def test_all_out_first_event(self, rng):
+        # The first separated block entry is an all-out (kind 1) event.
+        vx, vy, starts, counts, centry, nblk, ca, cb, cc, sep = _classify_case(
+            rng, "all_out"
         )
-        ca = np.ones_like(ca)
-        cb = np.zeros_like(cb)
-        cc = np.full_like(cc, -100.0)  # value = x + 100 >> eps
         first, kind = classify_first_events(
             vx, vy, starts, counts, centry, nblk, ca, cb, cc, sep, EPS
         )
@@ -293,17 +320,11 @@ class TestClassifyFirstEvents:
                 assert kind[p] == 0
                 assert first[p] == nblk[p]
 
-    def test_non_separated_competitors_skipped(self, rng, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        vx, vy, starts, counts, centry, nblk, ca, cb, cc, sep = (
-            _classify_problem(rng)
-        )
-        sep = np.zeros_like(sep)
-        first, kind = classify_first_events(
-            vx, vy, starts, counts, centry, nblk, ca, cb, cc, sep, EPS
-        )
+    def test_non_separated_competitors_skipped(self, rng):
+        problem = _classify_case(rng, "non_separated")
+        first, kind = classify_first_events(*problem, EPS)
         np.testing.assert_array_equal(kind, 0)
-        np.testing.assert_array_equal(first, nblk)
+        np.testing.assert_array_equal(first, problem[5])
 
     def test_empty_input(self):
         e_f = np.zeros(0)
@@ -316,50 +337,25 @@ class TestClassifyFirstEvents:
 
 
 class TestClipCrossingPieces:
-    def _random_rings(self, rng, n_pieces=50):
-        counts = rng.integers(3, 9, size=n_pieces).astype(np.int64)
-        starts = (np.cumsum(counts) - counts).astype(np.int64)
-        total = int(counts.sum())
-        # Rings scattered around distinct centers so the random
-        # bisectors produce a healthy mix of crossing/one-sided cases.
-        centers = rng.uniform(-3.0, 3.0, size=(n_pieces, 2))
-        seg = np.repeat(np.arange(n_pieces), counts)
-        vx = centers[seg, 0] + rng.uniform(-0.5, 0.5, size=total)
-        vy = centers[seg, 1] + rng.uniform(-0.5, 0.5, size=total)
-        ca = rng.uniform(-1.0, 1.0, size=n_pieces)
-        cb = rng.uniform(-1.0, 1.0, size=n_pieces)
-        cc = rng.uniform(-1.0, 1.0, size=n_pieces)
-        want = rng.random(n_pieces) < 0.7
-        return vx, vy, starts, counts, ca, cb, cc, want
-
     @THREAD_COUNTS
-    def test_loops_bitwise_match_numpy_seam(self, rng, threads, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
+    @pytest.mark.parametrize("case", ["random", *sorted(_TRIANGLE_CUTS)])
+    def test_loops_bitwise_match_numpy_seam(self, rng, case, threads, monkeypatch):
         monkeypatch.setenv(KERNEL_THREADS_ENV, str(threads))
         # 1200 pieces > 2 * min_per_worker(512): the seam splits into
         # multiple chunk-ordered ranges when threads > 1.
-        vx, vy, starts, counts, ca, cb, cc, want = self._random_rings(
-            rng, n_pieces=1200
-        )
-        got = clip_crossing_pieces(
-            vx, vy, starts, counts, ca, cb, cc, want, EPS
-        )
-        ref = _clip_loops_oracle(vx, vy, starts, counts, ca, cb, cc, want, EPS)
+        if case == "random":
+            problem = _random_rings(rng, n_pieces=1200)
+        else:
+            problem = _triangle_case(case, n_pieces=1200)
+        got = clip_crossing_pieces(*problem, EPS)
+        ref = _clip_loops_oracle(*problem, EPS)
         for g, r in zip(got, ref):
             np.testing.assert_array_equal(g, r)
 
-    def test_zero_crossing_pass_keeps_piece_whole(self, monkeypatch):
-        # Bisector x = 10 far right of a unit triangle: the closer side
-        # is the untouched ring, the farther side is empty.
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        vx = np.asarray([0.0, 1.0, 0.0])
-        vy = np.asarray([0.0, 0.0, 1.0])
-        starts = np.asarray([0], dtype=np.int64)
-        counts = np.asarray([3], dtype=np.int64)
-        one = np.ones(1)
+    def test_zero_crossing_pass_keeps_piece_whole(self):
+        vx, vy, *rest = _triangle_case("zero_crossing")
         clo_x, clo_y, clo_n, far_x, far_y, far_n = clip_crossing_pieces(
-            vx, vy, starts, counts, one, np.zeros(1), np.full(1, 10.0),
-            np.ones(1, dtype=bool), EPS,
+            vx, vy, *rest, EPS
         )
         np.testing.assert_array_equal(clo_n, [3])
         np.testing.assert_array_equal(clo_x, vx)
@@ -367,26 +363,18 @@ class TestClipCrossingPieces:
         np.testing.assert_array_equal(far_n, [0])
         assert far_x.size == 0 and far_y.size == 0
 
-    def test_all_out_piece_moves_to_farther_side(self, monkeypatch):
-        # Bisector x = -10 far left: the closer child vanishes and the
-        # farther child is the untouched ring.
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        vx = np.asarray([0.0, 1.0, 0.0])
-        vy = np.asarray([0.0, 0.0, 1.0])
-        starts = np.asarray([0], dtype=np.int64)
-        counts = np.asarray([3], dtype=np.int64)
+    def test_all_out_piece_moves_to_farther_side(self):
+        vx, vy, *rest = _triangle_case("all_out")
         clo_x, clo_y, clo_n, far_x, far_y, far_n = clip_crossing_pieces(
-            vx, vy, starts, counts, np.ones(1), np.zeros(1),
-            np.full(1, -10.0), np.ones(1, dtype=bool), EPS,
+            vx, vy, *rest, EPS
         )
         np.testing.assert_array_equal(clo_n, [0])
         assert clo_x.size == 0
         np.testing.assert_array_equal(far_n, [3])
         np.testing.assert_array_equal(far_x, vx)
 
-    def test_want_farther_false_discards_far_child(self, rng, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        vx, vy, starts, counts, ca, cb, cc, _ = self._random_rings(rng)
+    def test_want_farther_false_discards_far_child(self, rng):
+        vx, vy, starts, counts, ca, cb, cc, _ = _random_rings(rng)
         none = np.zeros(counts.shape[0], dtype=bool)
         _, _, _, far_x, far_y, far_n = clip_crossing_pieces(
             vx, vy, starts, counts, ca, cb, cc, none, EPS
@@ -394,26 +382,11 @@ class TestClipCrossingPieces:
         np.testing.assert_array_equal(far_n, 0)
         assert far_x.size == 0 and far_y.size == 0
 
-    def test_clip_through_vertex_collapses_child(self, monkeypatch):
-        # Bisector x <= 0 grazes the triangle's left edge: the closer
-        # child degenerates to that edge (2 vertices after dedupe),
-        # which the engine's area filter later discards.
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        vx = np.asarray([0.0, 1.0, 0.0])
-        vy = np.asarray([0.0, 0.0, 1.0])
-        starts = np.asarray([0], dtype=np.int64)
-        counts = np.asarray([3], dtype=np.int64)
-        want = np.ones(1, dtype=bool)
-        got = clip_crossing_pieces(
-            vx, vy, starts, counts, np.ones(1), np.zeros(1), np.zeros(1),
-            want, EPS,
-        )
-        ref = _clip_loops_oracle(
-            vx, vy, starts, counts, np.ones(1), np.zeros(1), np.zeros(1),
-            want, EPS,
-        )
-        for g, r in zip(got, ref):
-            np.testing.assert_array_equal(g, r)
+    def test_clip_through_vertex_collapses_child(self):
+        # The closer child degenerates to the triangle's left edge (2
+        # vertices after dedupe), which the engine's area filter later
+        # discards.
+        got = clip_crossing_pieces(*_triangle_case("through_vertex"), EPS)
         assert got[2][0] < 3  # closer child collapsed below a polygon
         assert got[5][0] == 3  # farther child keeps the full triangle
 
@@ -438,29 +411,35 @@ class TestCompressRingsSeam:
         )
         ring = np.asarray([0, 0, 0, 0, 0, 0, 1, 1, 1, 1], dtype=np.int64)
         emit = np.ones(10, dtype=bool)
-        return ex, ey, ring, emit
+        return ex, ey, ring, emit, 2
 
-    def test_loops_match_numpy_on_degenerate_rings(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        ex, ey, ring, emit = self._dup_chain_case()
-        x, y, counts = compress_rings(ex, ey, ring, emit, 2, EPS)
-        # Ring 1 collapsed to a single point: below the 3-vertex polygon
-        # floor, exactly the case the engine's area filter then drops.
-        np.testing.assert_array_equal(counts, [3, 1])
-        lx = ex.copy()
-        ly = ey.copy()
-        starts = np.asarray([0, 6], dtype=np.int64)
-        cnt = np.asarray([6, 4], dtype=np.int64)
-        out = np.empty(2, dtype=np.int64)
-        _compress_rings_loops(lx, ly, starts, cnt, EPS, out)
-        np.testing.assert_array_equal(out, counts)
-        np.testing.assert_array_equal(lx[:3], x[:3])
-        np.testing.assert_array_equal(ly[:3], y[:3])
-        np.testing.assert_array_equal(lx[6:7], x[3:])
-        np.testing.assert_array_equal(ly[6:7], y[3:])
+    def _lattice_case(self, rng, nrings=200):
+        # Coordinates on a coarse lattice, so consecutive duplicates and
+        # cyclic head/tail repeats are common; a random emit mask drops
+        # slots the way a clip does.
+        ring = np.sort(rng.integers(0, nrings, size=2000)).astype(np.int64)
+        ex = rng.integers(0, 3, size=ring.size).astype(float)
+        ey = rng.integers(0, 3, size=ring.size).astype(float)
+        emit = rng.random(ring.size) < 0.8
+        return ex, ey, ring, emit, nrings
 
-    def test_unemitted_slots_are_dropped(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
+    @pytest.mark.parametrize("case", ["dup_chain", "lattice"])
+    def test_loops_match_numpy_on_degenerate_rings(self, rng, case):
+        if case == "dup_chain":
+            problem = self._dup_chain_case()
+        else:
+            problem = self._lattice_case(rng)
+        got = compress_rings(*problem, EPS)
+        if case == "dup_chain":
+            # Ring 1 collapsed to a single point: below the 3-vertex
+            # polygon floor, exactly the case the engine's area filter
+            # then drops.
+            np.testing.assert_array_equal(got[2], [3, 1])
+        ref = _compress_loops_oracle(*problem, EPS)
+        for g, r in zip(got, ref):
+            np.testing.assert_array_equal(g, r)
+
+    def test_unemitted_slots_are_dropped(self):
         ex = np.asarray([0.0, 9.0, 1.0, 2.0])
         ey = np.asarray([0.0, 9.0, 1.0, 2.0])
         ring = np.zeros(4, dtype=np.int64)
@@ -469,8 +448,7 @@ class TestCompressRingsSeam:
         np.testing.assert_array_equal(counts, [3])
         np.testing.assert_array_equal(x, [0.0, 1.0, 2.0])
 
-    def test_empty_ring_set(self, monkeypatch):
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
+    def test_empty_ring_set(self):
         x, y, counts = compress_rings(
             np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64),
             np.zeros(0, dtype=bool), 3, EPS,
@@ -528,119 +506,6 @@ class TestKernelThreads:
         assert chunks[0] == (0, 250) and chunks[-1] == (750, 1000)
         serial = list(plan_chunks(1000, bytes_per_item=8, budget=10**9, workers=1))
         assert serial == [(0, 1000)]
-
-
-# ----------------------------------------------------------------------
-# Broken-numba fallback: REPRO_KERNELS=jit degrades to numpy, loudly once
-# ----------------------------------------------------------------------
-class TestBrokenJitFallback:
-    def test_compile_failure_falls_back_with_single_warning(
-        self, rng, monkeypatch
-    ):
-        import sys
-        import types
-        import warnings as warnings_mod
-
-        fake = types.ModuleType("numba")
-
-        def njit(*args, **kwargs):
-            raise RuntimeError("cannot write to numba cache dir")
-
-        fake.njit = njit
-        monkeypatch.setitem(sys.modules, "numba", fake)
-        monkeypatch.setattr(jk, "_NUMBA_OK", True)
-        monkeypatch.setattr(jk, "_JIT_BROKEN", False)
-        monkeypatch.setattr(jk, "_JIT_CACHE", {})
-        monkeypatch.setenv(KERNELS_ENV, "jit")
-        # First acquisition: warns once, naming the env knob.
-        with pytest.warns(RuntimeWarning, match=KERNELS_ENV):
-            assert jk._get_jit("halfplane_minmax") is None
-        # The process is now pinned to numpy — silently.
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
-            assert jk._get_jit("closer_counts") is None
-            assert kernel_tier() == "numpy"
-            # And the seams still produce the numpy-tier answer.
-            vx, vy, starts, counts, ca, cb, cc = _ragged_pieces(rng)
-            pmax, pmin = halfplane_minmax(vx, vy, starts, counts, ca, cb, cc)
-            monkeypatch.setenv(KERNELS_ENV, "numpy")
-            ref_max, ref_min = halfplane_minmax(
-                vx, vy, starts, counts, ca, cb, cc
-            )
-        np.testing.assert_array_equal(pmax, ref_max)
-        np.testing.assert_array_equal(pmin, ref_min)
-
-
-# ----------------------------------------------------------------------
-# JIT tier (only with numba present; CI runs a leg without it)
-# ----------------------------------------------------------------------
-needs_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not installed"
-)
-
-
-@needs_numba
-class TestJitTier:
-    def test_halfplane_jit_bitwise_matches_numpy(self, rng, monkeypatch):
-        vx, vy, starts, counts, ca, cb, cc = _ragged_pieces(rng, n_pieces=60)
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        ref_max, ref_min = halfplane_minmax(vx, vy, starts, counts, ca, cb, cc)
-        monkeypatch.setenv(KERNELS_ENV, "jit")
-        jit_max, jit_min = halfplane_minmax(vx, vy, starts, counts, ca, cb, cc)
-        np.testing.assert_array_equal(ref_max, jit_max)
-        np.testing.assert_array_equal(ref_min, jit_min)
-
-    @pytest.mark.parametrize("cap", [2, 16])
-    def test_closer_counts_jit_matches_numpy(self, rng, cap, monkeypatch):
-        k = 2
-        kx, ky, offsets, counts, sx, sy, tsq = _counting_problem(rng)
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        ref = closer_counts(kx, ky, offsets, counts, sx, sy, tsq, cap, k)
-        monkeypatch.setenv(KERNELS_ENV, "jit")
-        jit = closer_counts(kx, ky, offsets, counts, sx, sy, tsq, cap, k)
-        np.testing.assert_array_equal(ref, jit)
-
-    @THREAD_COUNTS
-    def test_classify_jit_bitwise_matches_numpy(self, rng, threads, monkeypatch):
-        vx, vy, starts, counts, centry, nblk, ca, cb, cc, sep = (
-            _classify_problem(rng, n_pieces=1500)
-        )
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        ref = classify_first_events(
-            vx, vy, starts, counts, centry, nblk, ca, cb, cc, sep, 1e-9
-        )
-        monkeypatch.setenv(KERNELS_ENV, "jit")
-        monkeypatch.setenv(KERNEL_THREADS_ENV, str(threads))
-        jit = classify_first_events(
-            vx, vy, starts, counts, centry, nblk, ca, cb, cc, sep, 1e-9
-        )
-        np.testing.assert_array_equal(ref[0], jit[0])
-        np.testing.assert_array_equal(ref[1], jit[1])
-
-    @THREAD_COUNTS
-    def test_clip_crossing_jit_bitwise_matches_numpy(
-        self, rng, threads, monkeypatch
-    ):
-        probe = TestClipCrossingPieces()
-        vx, vy, starts, counts, ca, cb, cc, want = probe._random_rings(
-            rng, n_pieces=600
-        )
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        ref = clip_crossing_pieces(vx, vy, starts, counts, ca, cb, cc, want, 1e-9)
-        monkeypatch.setenv(KERNELS_ENV, "jit")
-        monkeypatch.setenv(KERNEL_THREADS_ENV, str(threads))
-        jit = clip_crossing_pieces(vx, vy, starts, counts, ca, cb, cc, want, 1e-9)
-        for r, j in zip(ref, jit):
-            np.testing.assert_array_equal(r, j)
-
-    def test_compress_rings_jit_matches_numpy(self, monkeypatch):
-        ex, ey, ring, emit = TestCompressRingsSeam()._dup_chain_case()
-        monkeypatch.setenv(KERNELS_ENV, "numpy")
-        ref = compress_rings(ex, ey, ring, emit, 2, 1e-9)
-        monkeypatch.setenv(KERNELS_ENV, "jit")
-        jit = compress_rings(ex, ey, ring, emit, 2, 1e-9)
-        for r, j in zip(ref, jit):
-            np.testing.assert_array_equal(r, j)
 
 
 # ----------------------------------------------------------------------
@@ -752,7 +617,7 @@ class TestPieceAccumulatorOrdering:
 
 
 # ----------------------------------------------------------------------
-# Ragged-index primitives backing both tiers
+# Ragged-index primitives backing the seams
 # ----------------------------------------------------------------------
 class TestRaggedPrimitives:
     def test_ragged_indices_matches_concatenated_aranges(self, rng):

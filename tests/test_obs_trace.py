@@ -13,7 +13,6 @@ import time
 
 import pytest
 
-from repro.engine.profiling import StageTimer, profile_meta, profile_stages
 from repro.obs import trace
 
 
@@ -44,16 +43,13 @@ class TestDisabledPath:
         assert trace.current_collector() is None
         assert not trace.tracing_active()
 
-    def test_disabled_stage_timer_reads_no_clock(self, monkeypatch):
-        timer = StageTimer(enabled=False)
-
+    def test_disabled_span_reads_no_clock(self, monkeypatch):
         def forbidden():  # pragma: no cover - the assertion is the call
-            raise AssertionError("disabled StageTimer must not read the clock")
+            raise AssertionError("a disabled span must not read the clock")
 
         monkeypatch.setattr(time, "perf_counter", forbidden)
-        with timer.stage("query"):
+        with trace.span("query"):
             pass
-        assert timer.result() is None
 
     def test_wrap_chunk_tasks_preserves_results_untraced(self):
         tasks = [lambda i=i: i * i for i in range(5)]
@@ -221,42 +217,3 @@ class TestExport:
                     ]
                 }
             )
-
-
-class TestStageTimerMatrix:
-    """StageTimer x REPRO_PROFILE x tracing: one clock, two projections."""
-
-    def test_profile_only(self):
-        timer = StageTimer(enabled=True)
-        with timer.stage("query"):
-            pass
-        with timer.stage("query"):
-            pass
-        profile = timer.result(tier="numpy", threads=1)
-        assert set(profile) == {"query", "meta"}
-        assert profile["query"] >= 0.0
-        assert profile["meta"] == {"tier": "numpy", "threads": 1}
-
-    def test_trace_only_emits_stage_spans(self):
-        timer = StageTimer(enabled=False)
-        with trace.tracing() as collector:
-            with timer.stage("clip"):
-                pass
-        assert [row["name"] for row in collector.rows()] == ["clip"]
-        assert timer.result() is None
-
-    def test_both_share_the_span_clock(self):
-        timer = StageTimer(enabled=True)
-        with trace.tracing() as collector:
-            with timer.stage("emit"):
-                pass
-        profile = timer.result()
-        row = collector.rows()[0]
-        assert profile["emit"] == row["dur"]  # identical measurement
-
-    def test_profile_stages_and_meta_helpers(self):
-        profile = {"query": 0.5, "clip": 0.25, "meta": {"tier": "jit"}}
-        assert profile_stages(profile) == {"query": 0.5, "clip": 0.25}
-        assert profile_meta(profile) == {"tier": "jit"}
-        assert profile_stages(None) == {}
-        assert profile_meta({}) == {}

@@ -18,6 +18,7 @@ from repro.engine import make_engine
 from repro.network.network import SensorNetwork
 from repro.obs import trace
 from repro.regions.shapes import unit_square
+from repro.runtime import SynchronousScheduler, make_distributed_engine
 from repro.scenarios import SweepRunner, expand_grid, make_scenario
 
 
@@ -40,6 +41,16 @@ def _network(n=300, seed=11):
 def _sparse_round(network):
     engine = make_engine("sparse", network, LaacadConfig(k=2, engine="sparse"))
     return engine.compute_round()
+
+
+def _lossy_distributed_round(network):
+    scheduler = SynchronousScheduler(
+        drop_probability=0.1, rng=np.random.default_rng(3)
+    )
+    engine = make_distributed_engine(
+        "sparse", network, LaacadConfig(k=2, engine="sparse"), scheduler
+    )
+    return engine.run_round(0)
 
 
 def _round_arrays(result):
@@ -72,11 +83,26 @@ class TestChunkSpans:
         repeat = [r for r in again.rows() if r["name"] == "chunk"]
         assert len(repeat) == len(chunks)
 
-    def test_stage_spans_present(self):
+    @pytest.mark.parametrize(
+        "run_round, stages",
+        [
+            pytest.param(
+                _sparse_round,
+                {"query", "candidates", "clip", "emit", "summary"},
+                id="centralized",
+            ),
+            pytest.param(
+                _lossy_distributed_round,
+                {"gather", "circle_check", "clip", "summary"},
+                id="lossy-distributed",
+            ),
+        ],
+    )
+    def test_stage_spans_present(self, run_round, stages):
         with trace.tracing() as collector:
-            _sparse_round(_network())
+            run_round(_network())
         names = {row["name"] for row in collector.rows()}
-        assert "clip" in names and "query" in names
+        assert stages <= names, sorted(stages - names)
 
     @pytest.mark.parametrize("threads", [1, 2, 7])
     def test_round_outputs_identical_with_tracing_on(self, threads, monkeypatch):
