@@ -490,6 +490,10 @@ class _PolygonArrays:
         latitude aside, which only matters for points exactly ``eps``
         from an edge).
         """
+        return (self.edge_distances(xs, ys) <= eps).any(axis=1)
+
+    def edge_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """``(samples, edges)`` point-to-segment distances (``on_boundary``'s)."""
         px = xs[:, None]
         py = ys[:, None]
         t = ((px - self.ax) * self.dx + (py - self.ay) * self.dy) / self.seg_len_sq
@@ -500,7 +504,7 @@ class _PolygonArrays:
         if self.degenerate.any():
             endpoint = np.hypot(px - self.ax, py - self.ay)
             dist = np.where(self.degenerate[None, :], endpoint, dist)
-        return (dist <= eps).any(axis=1)
+        return dist
 
     def ray_cast(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Per-sample ray-cast parity, matching ``point_in_polygon``.
@@ -552,6 +556,20 @@ class BatchedRegionContainment:
             in_hole = ~hole.on_boundary(xs, ys, self.eps) & hole.ray_cast(xs, ys)
             inside &= ~in_hole
         return inside
+
+    def clearance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Distance from each point to the nearest outer or hole edge.
+
+        Same arithmetic as the boundary test of :meth:`contains`.  Every
+        point of the open disk of radius ``clearance - eps`` around a
+        point lies farther than ``eps`` from every edge, so — float
+        noise aside, which a caller's margin must absorb — the whole
+        disk shares that point's :meth:`contains` verdict.
+        """
+        nearest = self._outer.edge_distances(xs, ys).min(axis=1)
+        for hole in self._holes:
+            np.minimum(nearest, hole.edge_distances(xs, ys).min(axis=1), out=nearest)
+        return nearest
 
 
 # ----------------------------------------------------------------------

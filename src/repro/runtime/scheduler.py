@@ -124,6 +124,28 @@ class SynchronousScheduler:
                 return ~dropped
         return np.ones(count, dtype=bool)
 
+    @property
+    def rng(self) -> np.random.Generator:
+        """The loss-draw generator (one ``random()`` draw per transmission)."""
+        return self._rng
+
+    def commit(
+        self, messages: int, transmissions: int, bytes_sent: int, dropped: int
+    ) -> None:
+        """Account transmissions whose loss draws the caller made itself.
+
+        A caller that draws the loss samples straight from :attr:`rng`
+        — in exactly the order :meth:`record_many` would — commits the
+        resulting counts here as sums, once per batch: the counters are
+        order-independent, so this equals the per-transmission
+        accounting.
+        """
+        self.stats.messages += messages
+        self.stats.transmissions += transmissions
+        self.stats.bytes_sent += bytes_sent
+        self.stats.dropped += dropped
+        self._round_messages += messages
+
     def collect_inbox(self, node_id: int) -> List[Message]:
         """Drain and return the pending messages of one node."""
         inbox = self._inboxes.get(node_id, [])

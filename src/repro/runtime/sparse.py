@@ -19,15 +19,17 @@ at a time.  This backend removes both:
   at once.  No RNG is consumed on a loss-free channel, so draw order
   is trivially preserved;
 * with a **lossy channel** the loss draws must be consumed node by
-  node in the legacy order, so each node still runs the per-node,
-  draw-exact ring walk of the batched backend (the shared
-  ``_expanding_rings``) — the RNG draw-order contract of
-  ``repro.runtime.engines`` holds bit for bit.  What the walk reads
-  but no draw decides is batched per chunk of nodes: one grid fetch of
-  every node's candidates (filtered, with distances and hop counts, as
-  CSR slices) and one free-area containment pass over the circle
-  samples of the first ring levels.  Only a walk that outgrows the
-  fetched horizon queries the grid on its own;
+  node in the legacy order (the RNG draw-order contract of
+  ``repro.runtime.engines``, bit for bit), so the gather walks the
+  nodes of each chunk in lockstep over its first ring levels: per
+  chunk, one grid fetch of every node's candidates, one free-area
+  containment pass over the circle samples, and the loss-free
+  closer-than-the-site counts of every sample by angular intervals;
+  then a plain-Python walk draws each level's loss samples and settles
+  its circle check from those counts (domination is monotone in the
+  known set).  A node still searching after the precomputed levels
+  replays the per-node walk of the batched backend
+  (``_expanding_rings``) from its saved RNG state;
 * the per-node budgeted clipping sweeps are replaced by one
   :func:`~repro.engine.sparse_kernels.clip_cells_batch` call over all
   nodes, and the per-round summary (Chebyshev centers, displacements,
@@ -43,6 +45,8 @@ so the tolerance enters only through the fused clipping and the MEC.
 
 from __future__ import annotations
 
+import collections
+import math
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -71,16 +75,148 @@ _GRID_CANDIDATES = _metrics.counter(
 )
 
 #: Alive rows per lossy gather chunk: bounds the chunk's candidate CSR
-#: and its containment sample panel at any N.  In single N=2000
-#: deployments 64 rows peaked about 4 MiB of RSS below 256 rows, at
-#: the same speed.
+#: and its per-sample panels at any N.  In single N=2000 deployments
+#: 128 and 256 rows ran within noise of 64, in speed and in peak RSS.
 _GATHER_CHUNK = 64
 
-#: Ring levels whose circle-sample containment the lossy gather
-#: computes per chunk.  At the density range (ring step γ, about 12
-#: nodes per γ-disk; N=2000, k=2) over 99.5% of walks stop by level 2;
-#: the rare longer walk computes its later levels itself.
+#: Ring levels the lossy gather precomputes per chunk (circle-sample
+#: containment and loss-free closer counts) and walks in lockstep.  At
+#: the density range (ring step γ, about 12 nodes per γ-disk; N=2000,
+#: k=2) over 99.5% of walks stop by level 2; the rare longer walk is
+#: replayed per node.
 _CONTAINMENT_LEVELS = 2
+
+#: Verdict code of a circle check with no sample inside the free area.
+_VACUOUS = 1 << 62
+
+_NO_IDS = np.zeros(0, dtype=np.int64)
+
+#: The lossy gather's circle checks, by the path that settled them (see
+#: ``SparseDistributedEngine._gather_lossy``); counted once per chunk.
+_CIRCLE_CHECKS = _metrics.counter(
+    "repro_lossy_circle_checks_total",
+    "Algorithm-2 circle checks of the lossy gather, by settling path",
+    labelnames=("path",),
+)
+_CIRCLE_CHECKS_BY_PATH = {
+    path: _CIRCLE_CHECKS.labels(path)
+    for path in ("vacuous", "open", "slack", "exact", "replay")
+}
+
+#: A candidate nearer its site than this has no usable bearing: every
+#: sample of it takes the walk's own test.
+_ARC_MIN_DISTANCE = 1e-9
+
+#: Angular slack (radians) on each side of an arc's end.  It exceeds
+#: the error arctan2 and arccos make on their rounded arguments (about
+#: 1e-8 rad at worst, right next to arccos(1)).
+_ARC_SLACK = 1e-7
+
+
+def arc_closer_counts(
+    sx: np.ndarray,
+    sy: np.ndarray,
+    owner: np.ndarray,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    radius: float,
+    cos_table: np.ndarray,
+    sin_table: np.ndarray,
+) -> np.ndarray:
+    """Per (site, circle sample): candidates strictly closer than the site.
+
+    Sample ``j`` of site ``i`` is ``v = s_i + radius * (cos_j, sin_j)``,
+    the circle-check floats; candidate ``c`` (a pair with ``owner ==
+    i``) counts there when it passes the walk's own test ``hypot(c - v)
+    < hypot(s_i - v) - 1e-12``.  Returns the ``(sites, samples)`` row
+    sums of that ``(pairs × samples)`` panel without building it.
+
+    In exact arithmetic, with ``d`` and ``φ`` the candidate's distance
+    and bearing from the site and ``r = radius``, ``|c - v|² < (r -
+    1e-12)²`` holds exactly on the arc ``cos(θ - φ) > t``, ``t = (d² +
+    2e-12·r - 1e-24) / (2rd)``.  The floats move the test's two sides
+    by far less than ``E = 1e-12 · (|s_x| + |s_y| + d + r)``, which moves
+    the arc's cosine threshold by less than ``E · (1/(2r) + 1/d)``.  So
+    with the margin ``m = 1e-9 + E · (1/(2r) + 1/d)``, every sample with
+    ``cos(θ - φ) > t + m`` passes the float test and every sample with
+    ``cos(θ - φ) < t - m`` fails it.  The passing samples form one index
+    interval per pair (narrowed by ``_ARC_SLACK``), counted through a
+    difference array.  The samples of the two bands at the arc's ends
+    (widened by ``_ARC_SLACK``), and every sample of a candidate nearer
+    than ``_ARC_MIN_DISTANCE``, take the walk's own test.
+    """
+    n_rows = sx.shape[0]
+    n_samples = cos_table.shape[0]
+    counts = np.zeros(n_rows * n_samples, dtype=np.int64)
+    if owner.shape[0] == 0:
+        return counts.reshape(n_rows, n_samples)
+    site_x = sx[owner]
+    site_y = sy[owner]
+    dx = cx - site_x
+    dy = cy - site_y
+    d = np.hypot(dx, dy)
+    near = d < _ARC_MIN_DISTANCE
+    d[near] = 1.0
+    t = (d * d + 2e-12 * radius - 1e-24) / (2.0 * radius * d)
+    margin = 1e-9 + 1e-12 * (np.abs(site_x) + np.abs(site_y) + d + radius) * (
+        0.5 / radius + 1.0 / d
+    )
+    # Angles in sample-index units: bearing, and the half-widths of the
+    # surely-passing arc and of the arc outside which no sample passes.
+    units = n_samples / (2.0 * math.pi)
+    slack = _ARC_SLACK * units
+    phi = np.arctan2(dy, dx) * units
+    w_in = np.where(
+        near, -1.0, np.arccos(np.minimum(t + margin, 1.0)) * units - slack
+    )
+    w_out = np.where(
+        near, n_samples, np.arccos(np.clip(t - margin, -1.0, 1.0)) * units + slack
+    )
+    # Surely passing: the integers strictly inside (phi - w_in, phi + w_in).
+    lo = np.floor(phi - w_in).astype(np.int64) + 1
+    hi = np.ceil(phi + w_in).astype(np.int64) - 1
+    sure = hi >= lo
+    if sure.any():
+        # |phi| <= S/2 and w_in < S/4, so lo + S >= 0 and hi + 1 + S <
+        # 3S: a difference array over [-S, 2S) per row, folded mod S.
+        width = 3 * n_samples
+        base = owner[sure] * width + n_samples
+        ext = np.bincount(base + lo[sure], minlength=n_rows * width) - np.bincount(
+            base + hi[sure] + 1, minlength=n_rows * width
+        )
+        ext = np.cumsum(ext.reshape(n_rows, width), axis=1)
+        counts += (
+            ext[:, :n_samples] + ext[:, n_samples : 2 * n_samples] + ext[:, 2 * n_samples :]
+        ).ravel()
+    # Undecided: the integers in [phi - w_out, phi + w_out] outside the
+    # sure interval, as up to two index ranges per pair.
+    a = np.ceil(phi - w_out).astype(np.int64)
+    b = np.floor(phi + w_out).astype(np.int64)
+    full = b - a + 1 >= n_samples
+    start1 = np.where(full & sure, hi + 1, a)
+    len1 = np.where(
+        full,
+        np.where(sure, lo - 1 + n_samples - hi, n_samples),
+        np.where(sure, lo - a, np.maximum(b - a + 1, 0)),
+    )
+    len2 = np.where(sure & ~full, b - hi, 0)
+    lengths = np.concatenate((len1, len2))
+    total = int(lengths.sum())
+    if total:
+        pair = np.repeat(np.tile(np.arange(owner.shape[0]), 2), lengths)
+        offset = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        j = (np.repeat(np.concatenate((start1, hi + 1)), lengths) + offset) % n_samples
+        ox = site_x[pair]
+        oy = site_y[pair]
+        vx = ox + radius * cos_table[j]
+        vy = oy + radius * sin_table[j]
+        closer = np.hypot(cx[pair] - vx, cy[pair] - vy) < (
+            np.hypot(ox - vx, oy - vy) - 1e-12
+        )
+        counts += np.bincount(
+            owner[pair[closer]] * n_samples + j[closer], minlength=n_rows * n_samples
+        )
+    return counts.reshape(n_rows, n_samples)
 
 
 def _extend_schedule(rhos: List[float], thresholds: List[float], upto: int, step: float) -> None:
@@ -163,7 +299,6 @@ class SparseDistributedEngine(BatchedDistributedEngine):
         """
         scheduler = self.scheduler
         sizes = self._exchange_sizes
-        count = positions.shape[0]
         px = np.ascontiguousarray(positions[:, 0])
         py = np.ascontiguousarray(positions[:, 1])
         alive_rows = np.nonzero(alive)[0].astype(np.int64)
@@ -332,7 +467,7 @@ class SparseDistributedEngine(BatchedDistributedEngine):
         gather, squared distances, and the two-stage cap-then-remainder
         schedule (a subset count already >= k can only grow, so only
         rows with a still-short sample pay for the knowns beyond the
-        first ``max(8, 4k)``) — is the fused
+        first ``max(16, 8k)``) — is the fused
         :func:`repro.engine.jit_kernels.closer_counts` kernel, whose
         totals are decision-identical to a one-shot count.
         """
@@ -420,7 +555,7 @@ class SparseDistributedEngine(BatchedDistributedEngine):
         return dominated
 
     # ------------------------------------------------------------------
-    # Lossy gather: per-node, RNG draw-exact
+    # Lossy gather: chunked lockstep walk, RNG draw-exact
     # ------------------------------------------------------------------
     def _gather_lossy(
         self,
@@ -431,46 +566,70 @@ class SparseDistributedEngine(BatchedDistributedEngine):
         max_radius: float,
         gamma: float,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-node expanding rings over batch-fetched candidates.
+        """Expanding rings per chunk of nodes, draw for draw the legacy walk.
 
         Dropped replies are retried ring after ring, so the RNG must be
-        consumed node by node in the legacy order — the shared
-        ``_expanding_rings`` walk does exactly that, one node at a time.
-        Everything the walk reads that does not depend on a loss draw
-        is computed in batch instead, per chunk of ``_GATHER_CHUNK``
-        alive rows in ascending order:
+        consumed node by node in the legacy order: ascending nodes, and
+        per node its ring levels in turn, ``2 * attempts`` draws each.
+        Per chunk of ``_GATHER_CHUNK`` alive rows, everything no draw
+        decides is computed in batch first:
 
-        * the candidates within the initial horizon (``4 * step``), by
-          one ``query_radius_many`` whose per-center lists are the
+        * the candidates within the last precomputed ring, by one
+          ``query_radius_many`` whose per-center lists are the
           per-node ``query_radius`` lists, scan order included; the
-          alive/self filter, squared distances and hop counts are one
-          array pass over the chunk, handed to each walk as CSR slices;
-        * the free-area containment of the circle samples of the first
-          ``_CONTAINMENT_LEVELS`` ring levels, by one containment call
-          (elementwise the per-node kernel, on the same sample floats).
+          alive/self filter, squared distances, hop counts and ring
+          levels are one array pass over the chunk;
+        * for each of the first ``_CONTAINMENT_LEVELS`` ring levels, the
+          free-area containment of every node's circle samples and the
+          *loss-free* closer-than-the-site count of every sample (all
+          candidates within the level's ring), by angular intervals
+          (:func:`arc_closer_counts`).
 
-        The walk itself — ring order, two draws per attempt, the
-        closer-than-me count — is unchanged.  A walk that outgrows the
-        initial horizon re-fetches its own candidates with a per-node
-        ``query_radius`` (the ``extend`` fallback), and a level past the
-        precomputed ones computes its containment in the walk.  Chunking
-        bounds the candidate arrays and the sample panel at any N.
+        Then the chunk's nodes walk in ascending order in plain Python
+        over per-level member lists (scan order), drawing each level's
+        loss samples straight from the scheduler RNG.  A level's circle
+        check settles without a per-node sample panel, in this order —
+        domination only grows with the known set, and the lossy known
+        set is a subset of the loss-free one:
+
+        1. no sample inside the free area: dominated (``vacuous``);
+        2. some inside sample short of ``k`` in the loss-free count: not
+           dominated (``open``);
+        3. at most ``min(count - k)`` over the inside samples of the
+           ring's members missing: dominated (``slack``);
+        4. otherwise the missing members' exact closer rows are
+           subtracted from the loss-free counts (``exact``).
+
+        A node still searching after the last precomputed level restores
+        its RNG state and reruns the per-node walk ``_expanding_rings``
+        (``replay``), which fetches candidates past the horizon itself.
+        Message accounting is committed once per chunk as sums, and the
+        check paths are counted in ``repro_lossy_circle_checks_total``.
         """
-        count = positions.shape[0]
+        scheduler = self.scheduler
+        bit_generator = scheduler.rng.bit_generator
+        draw = scheduler.rng.random
+        p_drop = scheduler.drop_probability
+        k = self.config.k
+        exchange_bytes = int(self._exchange_sizes.sum())
         px = positions[:, 0]
         py = positions[:, 1]
-        network = self.network
         alive_rows = np.nonzero(alive)[0].astype(np.int64)
         n_alive = alive_rows.shape[0]
         known_parts: List[np.ndarray] = []
         known_counts = np.zeros(n_alive, dtype=np.int64)
         rho_final = np.zeros(n_alive)
-        initial_horizon = step * 4.0
-        # Half radii of the precomputed levels, on the walk's own
-        # ``rho += step`` schedule.
+        # The walk's own ``rho += step`` schedule; the precomputed levels
+        # come first, a replay may extend it.
         rhos: List[float] = []
-        _extend_schedule(rhos, [], _CONTAINMENT_LEVELS, step)
+        thresholds: List[float] = []
+        _extend_schedule(rhos, thresholds, _CONTAINMENT_LEVELS, step)
+        # The chunk fetch reaches exactly the last precomputed ring: the
+        # grid's inclusion test is the ring test, on the same floats.
+        horizon = rhos[-1]
+        level_thresholds = np.asarray(thresholds)
         half_radii = np.asarray(rhos) / 2.0
+        levels = range(_CONTAINMENT_LEVELS)
 
         def pairs(cand, owner_node):
             """Alive non-self pairs: kept mask, ids, squared distances, hops."""
@@ -486,69 +645,231 @@ class SparseDistributedEngine(BatchedDistributedEngine):
 
         for first in range(0, n_alive, _GATHER_CHUNK):
             nodes = alive_rows[first : first + _GATHER_CHUNK]
+            n_nodes = nodes.shape[0]
             with _trace.span("gather"):
                 cand, indptr = grid.query_radius_many(
-                    positions[nodes], initial_horizon
+                    positions[nodes], horizon
                 )
                 _GRID_CANDIDATES.inc(int(cand.shape[0]))
                 owner = segment_ids(np.diff(indptr), cand.shape[0])
                 keep, cand, cand_dist_sq, cand_hops = pairs(cand, nodes[owner])
                 owner = owner[keep]
                 cand_positions = positions[cand]
-                ptr = np.zeros(nodes.shape[0] + 1, dtype=np.int64)
-                np.cumsum(np.bincount(owner, minlength=nodes.shape[0]), out=ptr[1:])
+                ptr = np.zeros(n_nodes + 1, dtype=np.int64)
+                np.cumsum(np.bincount(owner, minlength=n_nodes), out=ptr[1:])
+                # 0-based ring level: the first level whose inclusion
+                # threshold admits the pair (the walk's ``dist_sq <=
+                # rho^2 + 1e-15``).
+                ring = np.searchsorted(level_thresholds, cand_dist_sq, side="left")
+                members = []
+                for level in levels:
+                    in_ring = ring <= level
+                    member_ptr = np.zeros(n_nodes + 1, dtype=np.int64)
+                    np.cumsum(
+                        np.bincount(owner[in_ring], minlength=n_nodes),
+                        out=member_ptr[1:],
+                    )
+                    members.append((np.nonzero(in_ring)[0], member_ptr.tolist()))
             with _trace.span("circle_check"):
-                inside = self._circle_containment(px[nodes], py[nodes], half_radii)
+                sx = px[nodes]
+                sy = py[nodes]
+                inside = self._circle_containment(sx, sy, half_radii)
+                counts = np.stack(
+                    [
+                        arc_closer_counts(
+                            sx,
+                            sy,
+                            owner[member_rows],
+                            cand_positions[member_rows, 0],
+                            cand_positions[member_rows, 1],
+                            float(half_radii[level]),
+                            self._circle_cos,
+                            self._circle_sin,
+                        )
+                        for level, (member_rows, _) in enumerate(members)
+                    ],
+                    axis=1,
+                )
+                # Per (node, level): ``_VACUOUS`` when no sample is
+                # inside, else the slack min(count - k) over the inside
+                # samples (negative: some sample is short of k).
+                slack = np.where(inside, counts, _VACUOUS).min(axis=2) - k
+                verdicts = np.where(inside.any(axis=2), slack, _VACUOUS).tolist()
+                # The walk's sample floats and closer thresholds, for
+                # the checks that subtract their missing members.
+                sample_x = sx[:, None, None] + (half_radii[:, None] * self._circle_cos)[None]
+                sample_y = sy[:, None, None] + (half_radii[:, None] * self._circle_sin)[None]
+                reach = (
+                    np.hypot(sx[:, None, None] - sample_x, sy[:, None, None] - sample_y)
+                    - 1e-12
+                )
             with _trace.span("gather"):
+                known = np.zeros(cand.shape[0], dtype=bool)
+                draws: List[np.ndarray] = []
+                attempted: List[np.ndarray] = []
+                settled: List[str] = []
                 bounds = ptr.tolist()
                 for local, node_index in enumerate(nodes.tolist()):
-                    lo = bounds[local]
-                    hi = bounds[local + 1]
-                    site = network.nodes[node_index].position
-                    state = {"horizon": initial_horizon, "ids": cand[lo:hi]}
-
-                    def extend(rho, _state=state, _site=site, _node=node_index):
-                        if rho <= _state["horizon"]:
-                            return None
-                        _state["horizon"] = max(_state["horizon"] * 2.0, rho)
-                        found = np.asarray(
-                            grid.query_radius(_site, _state["horizon"]),
-                            dtype=np.int64,
+                    saved = bit_generator.state
+                    marks = (len(draws), len(attempted), len(settled))
+                    got_parts: List[np.ndarray] = []
+                    n_known = 0
+                    for level in levels:
+                        ring_members, member_bounds = members[level]
+                        ring_members = ring_members[
+                            member_bounds[local] : member_bounds[local + 1]
+                        ]
+                        attempts = (
+                            ring_members[~known[ring_members]]
+                            if n_known
+                            else ring_members
                         )
-                        _, new_ids, new_dist_sq, new_hops = pairs(
-                            found, np.full_like(found, _node)
+                        if attempts.shape[0]:
+                            u = draw(2 * attempts.shape[0])
+                            draws.append(u)
+                            attempted.append(attempts)
+                            got = attempts[u[1::2] >= p_drop]
+                            known[got] = True
+                            got_parts.append(got)
+                            n_known += got.shape[0]
+                        verdict = verdicts[local][level]
+                        if verdict == _VACUOUS:
+                            settled.append("vacuous")
+                            dominated = True
+                        elif verdict < 0:
+                            settled.append("open")
+                            dominated = False
+                        elif ring_members.shape[0] - n_known <= verdict:
+                            settled.append("slack")
+                            dominated = True
+                        else:
+                            settled.append("exact")
+                            missing = ring_members[~known[ring_members]]
+                            dominated = self._lossy_dominated(
+                                cand_positions[missing],
+                                sample_x[local, level],
+                                sample_y[local, level],
+                                reach[local, level],
+                                inside[local, level],
+                                counts[local, level],
+                            )
+                        if dominated or rhos[level] >= max_radius:
+                            break
+                    else:
+                        # Past the precomputed levels: replay the node.
+                        bit_generator.state = saved
+                        del draws[marks[0] :]
+                        del attempted[marks[1] :]
+                        del settled[marks[2] :]
+                        delivered, rho = self._replay_walk(
+                            grid,
+                            positions,
+                            pairs,
+                            node_index,
+                            cand[bounds[local] : bounds[local + 1]],
+                            cand_dist_sq[bounds[local] : bounds[local + 1]],
+                            cand_hops[bounds[local] : bounds[local + 1]],
+                            inside[local],
+                            step,
+                            max_radius,
+                            horizon,
                         )
-                        new_pos = positions[new_ids]
-                        position_of = np.full(count, -1, dtype=np.int64)
-                        position_of[new_ids] = np.arange(new_ids.shape[0])
-                        remap = position_of[_state["ids"]]
-                        _state["ids"] = new_ids
-                        return new_pos, new_dist_sq, new_hops, remap
-
-                    known_order, rho = self._expanding_rings(
-                        site,
-                        cand_positions[lo:hi],
-                        cand_dist_sq[lo:hi],
-                        cand_hops[lo:hi],
-                        step,
-                        max_radius,
-                        extend=extend,
-                        circle_inside=inside[local],
-                    )
+                        while rhos[-1] < rho:
+                            _extend_schedule(rhos, thresholds, len(rhos) + 1, step)
+                        settled.extend(["replay"] * (rhos.index(rho) + 1))
+                        known_parts.append(delivered)
+                        known_counts[first + local] = delivered.shape[0]
+                        rho_final[first + local] = rho
+                        continue
                     delivered = (
-                        state["ids"][known_order]
-                        if known_order
-                        else np.zeros(0, dtype=np.int64)
+                        cand[np.concatenate(got_parts)] if got_parts else _NO_IDS
                     )
                     known_parts.append(delivered)
-                    row = first + local
-                    known_counts[row] = delivered.shape[0]
-                    rho_final[row] = rho
-        known_ids = (
-            np.concatenate(known_parts) if known_parts else np.zeros(0, dtype=np.int64)
-        )
+                    known_counts[first + local] = delivered.shape[0]
+                    rho_final[first + local] = rhos[level]
+                if attempted:
+                    hop_sum = int(cand_hops[np.concatenate(attempted)].sum())
+                    messages = 2 * sum(a.shape[0] for a in attempted)
+                    dropped = int(np.count_nonzero(np.concatenate(draws) < p_drop))
+                    scheduler.commit(
+                        messages, 2 * hop_sum, exchange_bytes * hop_sum, dropped
+                    )
+                for path, n_checks in collections.Counter(settled).items():
+                    _CIRCLE_CHECKS_BY_PATH[path].inc(n_checks)
+        known_ids = np.concatenate(known_parts) if known_parts else _NO_IDS
         known_indptr = np.concatenate(([0], np.cumsum(known_counts))).astype(np.int64)
         return known_ids, known_indptr, rho_final
+
+    def _lossy_dominated(
+        self,
+        missing: np.ndarray,
+        sample_x: np.ndarray,
+        sample_y: np.ndarray,
+        reach: np.ndarray,
+        inside: np.ndarray,
+        counts: np.ndarray,
+    ) -> bool:
+        """The circle check with the ``missing`` ring members subtracted.
+
+        ``counts`` are the loss-free closer counts of the level's
+        samples; the missing members' closer rows come from the walk's
+        own test (``_circle_dominated``: ``hypot(c - v) < reach`` with
+        ``reach = hypot(s - v) - 1e-12`` on the same sample floats), so
+        the difference is exactly the known set's count.
+        """
+        closer = (
+            np.hypot(missing[:, 0:1] - sample_x, missing[:, 1:2] - sample_y) < reach
+        ).sum(axis=0)
+        return not (inside & (counts - closer < self.config.k)).any()
+
+    def _replay_walk(
+        self,
+        grid: SpatialGrid,
+        positions: np.ndarray,
+        pairs,
+        node_index: int,
+        ids: np.ndarray,
+        dist_sq: np.ndarray,
+        hops: np.ndarray,
+        inside: np.ndarray,
+        step: float,
+        max_radius: float,
+        horizon: float,
+    ) -> Tuple[np.ndarray, float]:
+        """One node's per-node walk: delivered ids (in order) and final rho.
+
+        ``ids``/``dist_sq``/``hops`` are the node's candidates within
+        ``horizon``; a ring past it re-fetches the node's candidates
+        with a per-node ``query_radius`` (the walk's ``extend``), the new
+        arrays holding the old ones in the same scan order.
+        """
+        site = self.network.nodes[node_index].position
+        count = positions.shape[0]
+        state = {"horizon": horizon, "ids": ids}
+
+        def extend(rho):
+            if rho <= state["horizon"]:
+                return None
+            state["horizon"] = max(state["horizon"] * 2.0, rho)
+            found = np.asarray(grid.query_radius(site, state["horizon"]), dtype=np.int64)
+            _, new_ids, new_dist_sq, new_hops = pairs(found, np.full_like(found, node_index))
+            position_of = np.full(count, -1, dtype=np.int64)
+            position_of[new_ids] = np.arange(new_ids.shape[0])
+            remap = position_of[state["ids"]]
+            state["ids"] = new_ids
+            return positions[new_ids], new_dist_sq, new_hops, remap
+
+        known_order, rho = self._expanding_rings(
+            site,
+            positions[ids],
+            dist_sq,
+            hops,
+            step,
+            max_radius,
+            extend=extend,
+            circle_inside=inside,
+        )
+        return state["ids"][known_order] if known_order else _NO_IDS, rho
 
     def _circle_containment(
         self, sx: np.ndarray, sy: np.ndarray, radii: np.ndarray
@@ -557,14 +878,29 @@ class SparseDistributedEngine(BatchedDistributedEngine):
 
         Returns a ``(nodes, radii, samples)`` boolean array whose
         ``[i, l]`` row is the mask ``_circle_dominated`` computes for
-        node ``i`` at half-radius ``radii[l]``: the same sample floats
-        (``site + radius * (cos, sin)``, same operand order) through the
-        same elementwise containment kernel, in one call.
+        node ``i`` at half-radius ``radii[l]``.  A node whose clearance
+        from every outer and hole edge exceeds ``max(radii) + eps +
+        1e-9`` has all its samples farther than ``eps`` from every edge
+        and in its own face, so they take its site's verdict.  The other
+        nodes run the same sample floats (``site + radius * (cos,
+        sin)``, same operand order) through the same elementwise kernel,
+        in one call.
         """
-        sample_x = sx[:, None, None] + (radii[:, None] * self._circle_cos)[None]
-        sample_y = sy[:, None, None] + (radii[:, None] * self._circle_sin)[None]
-        inside = self._containment.contains(sample_x.ravel(), sample_y.ravel())
-        return inside.reshape(sample_x.shape)
+        containment = self._containment
+        inside = np.empty(
+            (sx.shape[0], radii.shape[0], self._circle_cos.shape[0]), dtype=bool
+        )
+        near = containment.clearance(sx, sy) <= radii.max() + containment.eps + 1e-9
+        far = ~near
+        if far.any():
+            inside[far] = containment.contains(sx[far], sy[far])[:, None, None]
+        if near.any():
+            sample_x = sx[near, None, None] + (radii[:, None] * self._circle_cos)[None]
+            sample_y = sy[near, None, None] + (radii[:, None] * self._circle_sin)[None]
+            inside[near] = containment.contains(
+                sample_x.ravel(), sample_y.ravel()
+            ).reshape(sample_x.shape)
+        return inside
 
     # ------------------------------------------------------------------
     # Shared compute phase: cross-node clip + vectorised summary

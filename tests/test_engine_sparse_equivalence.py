@@ -47,7 +47,13 @@ from repro.runtime.engines import (
 )
 from repro.runtime.failures import FailureInjector
 from repro.runtime.scheduler import SynchronousScheduler
-from repro.runtime.sparse import _GATHER_CHUNK, SparseDistributedEngine
+from repro.obs import metrics
+from repro.runtime.engines import BatchedDistributedEngine
+from repro.runtime.sparse import (
+    _GATHER_CHUNK,
+    SparseDistributedEngine,
+    arc_closer_counts,
+)
 
 TOL = 1e-9
 
@@ -407,6 +413,139 @@ class TestChunkedLossyGather:
         )
 
 
+def _circle_tables(samples):
+    """The circle-check direction tables, built like the engines' own."""
+    angles = [2.0 * math.pi * i / samples for i in range(samples)]
+    return (
+        np.asarray([math.cos(a) for a in angles]),
+        np.asarray([math.sin(a) for a in angles]),
+    )
+
+
+def _panel_closer(sx, sy, owner, cx, cy, radius, cos_table, sin_table):
+    """Brute force: the walk's ``(pairs × samples)`` closer panel."""
+    vx = sx[owner][:, None] + radius * cos_table[None, :]
+    vy = sy[owner][:, None] + radius * sin_table[None, :]
+    own_distance = np.hypot(sx[owner][:, None] - vx, sy[owner][:, None] - vy)
+    return np.hypot(cx[:, None] - vx, cy[:, None] - vy) < own_distance - 1e-12
+
+
+class TestArcCloserCounts:
+    """Angular-interval counts equal the walk's hypot panel elementwise."""
+
+    @staticmethod
+    def _placements(kind, rng, radius, cos_table, sin_table, pairs=240):
+        sx = rng.random(pairs)
+        sy = rng.random(pairs)
+        if kind == "uniform":
+            d = rng.uniform(0.0, 2.5 * radius, pairs)
+            bearing = rng.uniform(-math.pi, math.pi, pairs)
+            return sx, sy, sx + d * np.cos(bearing), sy + d * np.sin(bearing)
+        if kind == "rays":
+            # On a sample's ray at exactly r, r*sqrt(2) and 2r: the
+            # candidate sits on the circle, at a diagonal and tangent.
+            j = rng.integers(0, cos_table.shape[0], pairs)
+            scale = rng.choice([1.0, math.sqrt(2.0), 2.0], pairs) * radius
+            return sx, sy, sx + scale * cos_table[j], sy + scale * sin_table[j]
+        if kind == "coincident":
+            offsets = np.asarray([0.0, 1e-13, -1e-13, 1e-9, 1e-12])
+            return (
+                sx,
+                sy,
+                sx + rng.choice(offsets, pairs),
+                sy + rng.choice(offsets, pairs),
+            )
+        # Lattice: sites and candidates on a grid commensurate with r.
+        spacing = radius * rng.choice([0.25, 0.5, 1.0])
+        sx = np.round(sx / spacing) * spacing
+        sy = np.round(sy / spacing) * spacing
+        steps = rng.integers(-4, 5, (pairs, 2))
+        return sx, sy, sx + steps[:, 0] * spacing, sy + steps[:, 1] * spacing
+
+    @pytest.mark.parametrize("samples", [8, 72, 73])
+    @pytest.mark.parametrize("kind", ["uniform", "rays", "coincident", "lattice"])
+    def test_one_pair_per_site_matches_panel(self, samples, kind):
+        cos_table, sin_table = _circle_tables(samples)
+        rng = np.random.default_rng(samples * 31 + len(kind))
+        for radius in rng.uniform(0.005, 0.1, 12).tolist() + [0.005, 0.1]:
+            sx, sy, cx, cy = self._placements(kind, rng, radius, cos_table, sin_table)
+            owner = np.arange(sx.shape[0])
+            counts = arc_closer_counts(
+                sx, sy, owner, cx, cy, radius, cos_table, sin_table
+            )
+            panel = _panel_closer(sx, sy, owner, cx, cy, radius, cos_table, sin_table)
+            assert np.count_nonzero(counts != panel) == 0
+
+    @pytest.mark.parametrize("samples", [8, 72, 73])
+    def test_many_pairs_per_site_matches_panel(self, samples):
+        cos_table, sin_table = _circle_tables(samples)
+        rng = np.random.default_rng(samples)
+        sites = 16
+        for kind in ("uniform", "rays", "coincident", "lattice"):
+            radius = float(rng.uniform(0.005, 0.1))
+            sx, sy, cx, cy = self._placements(kind, rng, radius, cos_table, sin_table)
+            owner = rng.integers(0, sites, sx.shape[0])
+            # Candidates stay where the placement put them relative to
+            # their pair's first site, now shared by many pairs.
+            site_x, site_y = sx[:sites], sy[:sites]
+            cx = cx - sx + site_x[owner]
+            cy = cy - sy + site_y[owner]
+            counts = arc_closer_counts(
+                site_x, site_y, owner, cx, cy, radius, cos_table, sin_table
+            )
+            expected = np.zeros((sites, samples), dtype=np.int64)
+            np.add.at(
+                expected,
+                owner,
+                _panel_closer(
+                    site_x, site_y, owner, cx, cy, radius, cos_table, sin_table
+                ),
+            )
+            assert np.count_nonzero(counts != expected) == 0
+
+    def test_no_pairs(self):
+        cos_table, sin_table = _circle_tables(72)
+        empty = np.zeros(0)
+        counts = arc_closer_counts(
+            np.zeros(3), np.zeros(3), np.zeros(0, dtype=np.int64),
+            empty, empty, 0.05, cos_table, sin_table,
+        )
+        assert counts.shape == (3, 72) and not counts.any()
+
+
+class TestLossyCircleChecks:
+    """Every circle check the walk makes is counted under one path."""
+
+    def test_labelled_counts_sum_to_the_walks_checks(self, monkeypatch):
+        calls = []
+        circle_dominated = BatchedDistributedEngine._circle_dominated
+
+        def counting(engine, *args, **kwargs):
+            calls.append(engine.name)
+            return circle_dominated(engine, *args, **kwargs)
+
+        monkeypatch.setattr(BatchedDistributedEngine, "_circle_dominated", counting)
+        checks = metrics.counter(
+            "repro_lossy_circle_checks_total", labelnames=("path",)
+        )
+        paths = ("vacuous", "open", "slack", "exact", "replay")
+        before = {path: checks.labels(path).value for path in paths}
+        batched = _run_distributed(
+            "batched", 11, drop_probability=0.5, count=40, comm_range=0.2
+        )
+        walk_checks = len(calls)
+        del calls[:]
+        sparse = _run_distributed(
+            "sparse", 11, drop_probability=0.5, count=40, comm_range=0.2
+        )
+        delta = {path: checks.labels(path).value - before[path] for path in paths}
+        _assert_equivalent(batched, sparse)
+        assert sum(delta.values()) == walk_checks
+        # Only replayed walks still call the per-node check.
+        assert delta["replay"] == len(calls) > 0
+        assert delta["exact"] > 0 and delta["open"] > 0 and delta["slack"] > 0
+
+
 class TestCircleContainmentBatch:
     """One containment call equals the walk's per-node calls exactly."""
 
@@ -469,6 +608,90 @@ class TestCircleContainmentBatch:
             }
         for (site, level, sample), free in pinned.items():
             assert batch[sites.index(site), level, sample] == free
+
+
+    @staticmethod
+    def _threshold_sites(containment, threshold, region_factory):
+        """Sites whose clearance straddles ``threshold`` ulp by ulp.
+
+        Each start is moved along one axis, away from its nearest edge,
+        until its computed clearance equals the threshold; the sites
+        are that point and its two float neighbours on either side.
+        """
+        if region_factory is l_shaped_region:
+            # Nearest edges: the outer x = 0, then the outer y = 0.
+            starts = [((threshold, 0.3), 0), ((0.3, threshold), 1)]
+        else:
+            # Nearest edges: the hole's x = 0.6, then the outer y = 0.
+            starts = [((0.6 + threshold, 0.5), 0), ((0.25, threshold), 1)]
+
+        def clearance(point):
+            xs, ys = np.asarray([point[0]]), np.asarray([point[1]])
+            return float(containment.clearance(xs, ys)[0])
+
+        sites = []
+        for start, axis in starts:
+            point = list(start)
+            for _ in range(8):
+                gap = clearance(point)
+                if gap == threshold:
+                    break
+                toward = math.inf if gap < threshold else -math.inf
+                point[axis] = math.nextafter(point[axis], toward)
+            for ulps in (-2, -1, 0, 1, 2):
+                shifted = list(point)
+                for _ in range(abs(ulps)):
+                    shifted[axis] = math.nextafter(
+                        shifted[axis], math.copysign(math.inf, ulps)
+                    )
+                sites.append(tuple(shifted))
+        return sites
+
+    @pytest.mark.parametrize(
+        "region_factory", [l_shaped_region, figure8_region_one]
+    )
+    def test_clearance_prefilter_matches_kernel_at_threshold(self, region_factory):
+        region = region_factory()
+        radii = np.asarray([0.05, 0.1])
+        probe = SparseDistributedEngine(
+            SensorNetwork(region, [(0.25, 0.25)], comm_range=0.1),
+            LaacadConfig(k=2),
+            SynchronousScheduler(),
+        )
+        containment = probe._containment
+        threshold = 0.1 + containment.eps + 1e-9
+        sites = self._threshold_sites(containment, threshold, region_factory) + [
+            tuple(p) for p in np.random.default_rng(8).random((40, 2)).tolist()
+        ]
+        positions = np.asarray(sites)
+        clearance = containment.clearance(positions[:, 0], positions[:, 1])
+        # Both sides of the prefilter are exercised, the boundary too.
+        assert (clearance == threshold).any()
+        assert (clearance > threshold).any() and (clearance < threshold).any()
+        engine = SparseDistributedEngine(
+            SensorNetwork(region, sites, comm_range=0.1),
+            LaacadConfig(k=2),
+            SynchronousScheduler(),
+        )
+        batch = engine._circle_containment(positions[:, 0], positions[:, 1], radii)
+        for i, site in enumerate(sites):
+            for level, radius in enumerate(radii.tolist()):
+                expected = engine._containment.contains(
+                    site[0] + radius * engine._circle_cos,
+                    site[1] + radius * engine._circle_sin,
+                )
+                assert np.array_equal(batch[i, level], expected)
+
+    def test_clearance_is_the_nearest_edge_distance(self):
+        containment = SparseDistributedEngine(
+            SensorNetwork(figure8_region_one(), [(0.1, 0.1)], comm_range=0.1),
+            LaacadConfig(k=2),
+            SynchronousScheduler(),
+        )._containment
+        xs = np.asarray([0.1, 0.5, 0.3, 0.7, 0.4, 0.5])
+        ys = np.asarray([0.2, 0.5, 0.5, 0.9, 0.4, 0.05])
+        expected = [0.1, 0.1, 0.1, 0.1, 0.0, 0.05]
+        assert np.allclose(containment.clearance(xs, ys), expected, atol=1e-15)
 
 
 # ----------------------------------------------------------------------

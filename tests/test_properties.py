@@ -3,9 +3,11 @@
 These target the data structures and invariants everything else rests on:
 Welzl circles, convex hulls, half-plane clipping, the dominating-region
 engine (checked against the raster oracle and against the k * |A| tiling
-identity), and the coverage checker.
+identity), and the coverage checker.  The last class fuzzes the sparse
+lossy gather against the batched walk over whole multi-round runs.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,13 +16,18 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.coverage import coverage_counts
+from repro.api import Simulation
+from repro.core.config import LaacadConfig
 from repro.geometry.chebyshev import chebyshev_center_of_points
 from repro.geometry.clipping import HalfPlane, clip_polygon_halfplane, halfplane_from_bisector
 from repro.geometry.convex import convex_hull, is_convex_polygon
 from repro.geometry.polygon import point_in_polygon, polygon_area
 from repro.geometry.primitives import distance
 from repro.geometry.welzl import welzl_disk
-from repro.regions.shapes import unit_square
+from repro.network.network import SensorNetwork
+from repro.obs import metrics
+from repro.regions.shapes import figure8_region_one, figure8_region_two, unit_square
+from repro.runtime.failures import FailureInjector
 from repro.voronoi.dominating import compute_dominating_region, dominating_pieces
 from repro.voronoi.raster import RasterOracle
 
@@ -215,3 +222,109 @@ class TestCoverageProperties:
         samples = np.asarray(region.grid_points(10), dtype=float)
         counts = coverage_counts(sites, [2.0] * len(sites), samples)
         assert np.all(counts == len(sites))
+
+
+# ----------------------------------------------------------------------
+# Lossy distributed gather: sparse lockstep walk vs batched per-node walk
+# ----------------------------------------------------------------------
+_REGIONS = {
+    "square": unit_square,
+    "one-hole": figure8_region_one,
+    "l-two-holes": figure8_region_two,
+}
+_CHECK_PATHS = ("vacuous", "open", "slack", "exact", "replay")
+
+
+def _lossy_run(engine, seed, drop_probability, k, ring_granularity, region, failures):
+    network = SensorNetwork.from_random(
+        _REGIONS[region](), 40, comm_range=0.35, rng=np.random.default_rng(seed)
+    )
+    injector = (
+        FailureInjector(
+            scheduled={2: [0, 5, 17], 3: [11, 30]},
+            random_failure_rate=0.05,
+            rng=np.random.default_rng(seed + 1),
+        )
+        if failures
+        else None
+    )
+    sim = Simulation(
+        network=network,
+        config=LaacadConfig(
+            engine=engine,
+            k=k,
+            ring_granularity=ring_granularity,
+            epsilon=2e-3,
+            max_rounds=4,
+        ),
+        kind="distributed",
+        drop_probability=drop_probability,
+        failure_injector=injector,
+        rng=np.random.Generator(np.random.MT19937(seed)),
+    )
+    return sim, sim.run()
+
+
+def _same_state(a, b):
+    """Structural equality of two ``bit_generator.state`` values."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def _check_counts():
+    checks = metrics.counter("repro_lossy_circle_checks_total", labelnames=("path",))
+    return {path: checks.labels(path).value for path in _CHECK_PATHS}
+
+
+def _assert_lossy_equivalent(*args):
+    """Sparse vs batched on one input; returns the sparse run's check paths."""
+    batched_sim, batched = _lossy_run("batched", *args)
+    before = _check_counts()
+    sparse_sim, sparse = _lossy_run("sparse", *args)
+    after = _check_counts()
+    batched_scheduler = batched_sim.deployer.scheduler
+    sparse_scheduler = sparse_sim.deployer.scheduler
+    assert dataclasses.asdict(sparse_scheduler.stats) == dataclasses.asdict(
+        batched_scheduler.stats
+    )
+    assert _same_state(
+        sparse_scheduler.rng.bit_generator.state,
+        batched_scheduler.rng.bit_generator.state,
+    )
+    assert sparse.rounds_executed == batched.rounds_executed
+    assert sparse.killed_nodes == batched.killed_nodes
+    for a, b in zip(batched.final_positions, sparse.final_positions):
+        assert math.dist(a, b) <= 1e-9
+    return {path: after[path] - before[path] for path in _CHECK_PATHS}
+
+
+class TestLossyGatherProperties:
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        drop_probability=st.floats(min_value=0.01, max_value=0.6),
+        k=st.sampled_from([1, 2, 3]),
+        ring_granularity=st.sampled_from([0.5, 1.0]),
+        region=st.sampled_from(sorted(_REGIONS)),
+        failures=st.booleans(),
+    )
+    def test_sparse_matches_batched_over_rounds(
+        self, seed, drop_probability, k, ring_granularity, region, failures
+    ):
+        paths = _assert_lossy_equivalent(
+            seed, drop_probability, k, ring_granularity, region, failures
+        )
+        assert sum(paths.values()) > 0
+
+    @pytest.mark.parametrize("region", sorted(_REGIONS))
+    def test_high_drop_reaches_exact_and_replay(self, region):
+        paths = _assert_lossy_equivalent(3, 0.6, 2, 1.0, region, True)
+        assert paths["exact"] > 0
+        assert paths["replay"] > 0

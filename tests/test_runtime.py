@@ -151,6 +151,31 @@ class TestScheduler:
         assert sched.stats.transmissions == 4
         assert sched.stats.bytes_sent == 2 * 20 + 2 * 24
 
+    def test_commit_of_own_draws_matches_record_many(self):
+        hops = np.asarray([1, 1, 3, 3, 2, 2])
+        sizes = np.asarray([20, 24, 20, 24, 20, 24])
+        recorded = SynchronousScheduler(
+            drop_probability=0.4, rng=np.random.default_rng(4)
+        )
+        committed = SynchronousScheduler(
+            drop_probability=0.4, rng=np.random.default_rng(4)
+        )
+        recorded.begin_round()
+        committed.begin_round()
+        delivered = recorded.record_many(hops, sizes)
+        draws = committed.rng.random(hops.shape[0])
+        assert list(draws >= 0.4) == list(delivered)
+        committed.commit(
+            messages=hops.shape[0],
+            transmissions=int(hops.sum()),
+            bytes_sent=int((hops * sizes).sum()),
+            dropped=int((draws < 0.4).sum()),
+        )
+        recorded.end_round()
+        committed.end_round()
+        assert committed.stats == recorded.stats
+        assert committed.rng.bit_generator.state == recorded.rng.bit_generator.state
+
 
 class TestFailureInjector:
     def test_scheduled_failures(self, square):
