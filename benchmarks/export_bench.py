@@ -12,7 +12,10 @@ workloads and writes them to a committed JSON baseline.
   {50, 200, 500}, uniform random deployment;
 * the N=200 k=2 corner-cluster *distributed deployment transient*
   (6 rounds) under both backends, plus the batched-over-legacy speedup
-  — the acceptance workload of the round-level backend;
+  — the acceptance workload of the round-level backend.  The dense
+  distributed backend is retired: the distributed pipeline maps
+  ``engine="batched"`` to the sparse engine, so these ``batched``
+  cells now time ``SparseDistributedEngine``;
 * wall-clock of a small serial scenario sweep (cold cache).
 
 ``--suite sparse`` (writes ``BENCH_PR7.json``):
@@ -21,9 +24,9 @@ workloads and writes them to a committed JSON baseline.
   {2000, 10000, 50000} with density-scaled transmission range
   (``sqrt(12 * area / (pi * N))`` — constant expected ring population,
   the regime where the N x N wall actually bites);
-* the batched backends at N=2000 for the speedup rows (batched cannot
-  reach N=50000: the dense pairwise matrices alone would need tens of
-  gigabytes — which is the point of the tier);
+* the batched centralized engine at N=2000 for the speedup row (batched
+  cannot reach N=50000: the dense pairwise matrix alone would need tens
+  of gigabytes — which is the point of the tier);
 * the distributed scaling exponent ``log(t_50k / t_10k) / log(5)``,
   committed as evidence of sub-quadratic scaling.
 
@@ -113,7 +116,7 @@ ENGINES = ("legacy", "batched")
 #: population constant, so round cost tracks the candidate-pair volume
 #: rather than N².  50k is far beyond the dense engines' memory wall.
 SPARSE_SIZES = (2000, 10000, 50000)
-#: Largest size the batched comparison rows run at (dense N×N beyond
+#: Largest size the batched comparison row runs at (dense N×N beyond
 #: this is pointlessly slow on a CI runner).
 SPARSE_COMPARE_SIZE = 2000
 
@@ -173,8 +176,19 @@ _CLOCK = time.perf_counter
 
 def _best_of(fn: Callable[[], None], repeats: int = 3) -> float:
     """Minimum wall-clock of ``repeats`` runs (noise-robust point estimate)."""
+    return _best_of_fresh(lambda: fn, repeats)
+
+
+def _best_of_fresh(build: Callable[[], Callable[[], None]], repeats: int = 3) -> float:
+    """``_best_of`` over a fresh ``build()`` per repeat, built untimed.
+
+    A sparse centralized engine returns its stored round when nothing
+    moved since the last one, so repeating ``compute_round`` on one
+    engine would time that cache, not a round.
+    """
     best = float("inf")
     for _ in range(repeats):
+        fn = build()
         start = _CLOCK()
         fn()
         best = min(best, _CLOCK() - start)
@@ -318,11 +332,14 @@ def measure_sparse_centralized_rounds(sizes=SPARSE_SIZES) -> Dict[str, float]:
     from repro.core.config import LaacadConfig
     from repro.engine import make_engine
 
+    config = LaacadConfig(k=2, engine="sparse")
     results: Dict[str, float] = {}
     for n in sizes:
         network = _density_scaled_network(n)
-        engine = make_engine("sparse", network, LaacadConfig(k=2, engine="sparse"))
-        results[str(n)] = _best_of(engine.compute_round, repeats=_sparse_repeats(n))
+        results[str(n)] = _best_of_fresh(
+            lambda: make_engine("sparse", network, config).compute_round,
+            repeats=_sparse_repeats(n),
+        )
     return results
 
 
@@ -346,23 +363,27 @@ def measure_sparse_distributed_rounds(sizes=SPARSE_SIZES) -> Dict[str, float]:
 
 
 def measure_batched_comparison_rounds() -> Dict[str, float]:
-    """The dense reference points for the speedup rows (N=2000 only)."""
+    """The dense reference point for the speedup row (N=2000 centralized).
+
+    The dense distributed backend is retired, so there is no distributed
+    reference cell (see ``RETIRED_DENSE_KEYS``).
+    """
     from repro.core.config import LaacadConfig
     from repro.engine import make_engine
-    from repro.runtime.engines import make_distributed_engine
-    from repro.runtime.scheduler import SynchronousScheduler
 
     network = _density_scaled_network(SPARSE_COMPARE_SIZE)
     engine = make_engine("batched", network, LaacadConfig(k=2, engine="batched"))
-    centralized = _best_of(engine.compute_round, repeats=2)
+    return {"centralized": _best_of(engine.compute_round, repeats=2)}
 
-    network = _density_scaled_network(SPARSE_COMPARE_SIZE)
-    config = LaacadConfig(k=2, engine="batched")
-    scheduler = SynchronousScheduler()
-    dist_engine = make_distributed_engine("batched", network, config, scheduler)
-    scheduler.begin_round()
-    distributed = _best_of(lambda: dist_engine.run_round(0), repeats=2)
-    return {"centralized": centralized, "distributed": distributed}
+
+#: Sparse-suite baseline entries that compared against the retired
+#: dense distributed engine; ``check_sparse`` skips them by name.  The sparse
+#: distributed round stays gated by its absolute cells and the scaling
+#: exponent.
+RETIRED_DENSE_KEYS = (
+    "batched_round_n2000_seconds[distributed]",
+    "sparse_speedup_n2000_distributed",
+)
 
 
 def collect_sparse() -> Dict[str, object]:
@@ -389,8 +410,6 @@ def collect_sparse() -> Dict[str, object]:
             "batched_round_n2000_seconds": batched,
             "sparse_speedup_n2000_centralized": batched["centralized"]
             / centralized[compare],
-            "sparse_speedup_n2000_distributed": batched["distributed"]
-            / distributed[compare],
             "sparse_distributed_scaling_exponent": exponent,
         },
     }
@@ -417,6 +436,9 @@ def check_sparse(baseline_payload: Dict, factor: float) -> int:
           f"vs {baseline_payload['calibration_seconds']:.3f}s)\n")
 
     for key, base_value in baseline.items():
+        if key in RETIRED_DENSE_KEYS:
+            print(f"{key:55s} skipped (retired dense distributed engine)")
+            continue
         new_value = current[key]
         if "speedup" in key:
             status = "ok"
@@ -431,6 +453,10 @@ def check_sparse(baseline_payload: Dict, factor: float) -> int:
             print(f"{key:55s} baseline {base_value:8.2f}  now {new_value:8.2f}   {status}")
         elif isinstance(base_value, dict):
             for sub, base_seconds in base_value.items():
+                if f"{key}[{sub}]" in RETIRED_DENSE_KEYS:
+                    print(f"{key + '[' + sub + ']':55s} skipped "
+                          "(retired dense distributed engine)")
+                    continue
                 new_seconds = current[key][sub]
                 status = "ok"
                 if new_seconds > base_seconds * scale * factor:
@@ -998,9 +1024,8 @@ def main(argv=None) -> int:
         dist = workloads["sparse_distributed_round_seconds"]
         print("sparse distributed round: "
               + ", ".join(f"n={n} {t:.2f}s" for n, t in dist.items()))
-        print(f"n=2000 speedup over batched: centralized "
-              f"{workloads['sparse_speedup_n2000_centralized']:.2f}x, distributed "
-              f"{workloads['sparse_speedup_n2000_distributed']:.2f}x")
+        print(f"n=2000 centralized speedup over batched: "
+              f"{workloads['sparse_speedup_n2000_centralized']:.2f}x")
         print(f"distributed scaling exponent (10k -> 50k): "
               f"{workloads['sparse_distributed_scaling_exponent']:.2f}")
         return 0

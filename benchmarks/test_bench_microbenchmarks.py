@@ -3,9 +3,10 @@
 These are conventional timing benchmarks (multiple rounds) for the two
 inner loops: the budgeted-clipping dominating-region computation and
 Welzl's smallest enclosing circle, plus the round-engine comparison
-benchmarks tracking the batched backend's speedup over the legacy
-per-node path (single-round timings for N in {50, 200, 500} and the
-N=200, k=2 corner-cluster deployment).
+benchmarks tracking the array-native backends' speedup over the legacy
+per-node paths — the batched centralized engine and the sparse
+distributed engine (single-round timings for N in {50, 200, 500} and
+the N=200, k=2 corner-cluster deployment).
 """
 
 import numpy as np
@@ -80,10 +81,10 @@ def test_engine_round_time(benchmark, engine_name, n):
 
 
 # ----------------------------------------------------------------------
-# Distributed-engine comparisons (batched vs. legacy protocol backends)
+# Distributed-engine comparisons (sparse vs. legacy protocol backends)
 # ----------------------------------------------------------------------
 @pytest.mark.benchmark(group="distributed-round")
-@pytest.mark.parametrize("engine_name", ["legacy", "batched"])
+@pytest.mark.parametrize("engine_name", ["legacy", "sparse"])
 @pytest.mark.parametrize("n", [50, 200, 500])
 def test_distributed_round_time(benchmark, engine_name, n):
     """One full protocol round (gather + regions) on a random deployment.
@@ -109,18 +110,19 @@ def test_distributed_round_time(benchmark, engine_name, n):
 
 
 @pytest.mark.benchmark(group="distributed-deployment")
-@pytest.mark.parametrize("engine_name", ["legacy", "batched"])
+@pytest.mark.parametrize("engine_name", ["legacy", "sparse"])
 def test_distributed_deployment_n200_k2(benchmark, engine_name):
     """The N=200, k=2 corner-cluster *distributed* deployment transient.
 
     The acceptance workload of the round-level backend: clustered nodes
     mean enormous expanding rings (nearly every node is a ring-1 member
     of every other), which is exactly where per-message simulation
-    drowns in Python overhead.  The batched engine is expected to be
-    >= 3x faster here; both engines produce bitwise-identical results
-    (enforced by tests/test_distributed_engine_equivalence.py).  The
-    workload definition is shared with ``export_bench.py`` so the
-    committed BENCH_PR4.json baseline tracks exactly this benchmark.
+    drowns in Python overhead.  The sparse engine matches the legacy
+    agents within the tolerance contract, with exact communication
+    counters (enforced by tests/test_engine_sparse_equivalence.py).  The
+    workload definition is shared with ``export_bench.py``, whose
+    BENCH_PR4.json ``batched`` cell runs the same sparse engine (the
+    distributed pipeline maps ``batched`` to ``sparse``).
     """
     from export_bench import TRANSIENT_WORKLOAD, build_transient_deployment
 

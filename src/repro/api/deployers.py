@@ -408,10 +408,12 @@ class DistributedDeployer(Deployer):
 
     The gather/compute phase is delegated to a pluggable
     :class:`~repro.runtime.engines.DistributedRoundEngine` selected by
-    ``config.engine`` — ``"batched"`` simulates the protocol at the
-    round level over shared distance arrays, ``"legacy"`` executes one
-    scalar agent per node.  Both backends are bitwise identical,
-    including the scheduler RNG draw order on lossy channels (see
+    ``config.engine`` — ``"sparse"`` (also what ``"batched"`` selects)
+    simulates the protocol at the round level over grid-bucketed
+    candidate pairs, ``"legacy"`` executes one scalar agent per node.
+    The sparse backend matches the legacy one within the 1e-9 tolerance
+    contract, with identical communication counters and the same
+    scheduler RNG draw order on lossy channels (see
     ``repro.runtime.engines``).
     """
 
@@ -450,7 +452,7 @@ class DistributedDeployer(Deployer):
         """Per-node protocol agents (legacy introspection surface).
 
         The ``legacy`` engine genuinely executes through these; the
-        ``batched`` engine simulates at the round level, so for it the
+        ``sparse`` engine simulates at the round level, so for it the
         dict is materialised lazily — same keys, same construction —
         and *hydrated* from the engine's last round on every access:
         each agent's ``last_region``, ``displacement`` and

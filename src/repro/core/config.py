@@ -39,17 +39,19 @@ class LaacadConfig:
             displacements below ``epsilon`` required before declaring
             convergence; 1 reproduces the paper's stopping rule.
         engine: which round-execution backend drives the deployment:
-            ``"batched"`` (array-native — the vectorized centralized
-            engine in ``repro.engine`` and, for distributed runs, the
-            round-level protocol engine in ``repro.runtime.engines``),
-            ``"legacy"`` (the original per-node scalar paths), or
-            ``"sparse"`` (grid-bucketed candidate pairs and chunked
-            kernels, never materialising an N×N matrix — the tier for
-            N in the tens of thousands).  ``legacy`` and ``batched``
-            are bitwise identical; ``sparse`` is held to a 1e-9
-            tolerance contract with identical round counts and exact
-            communication counters (see DESIGN.md, "The sparse engine
-            tier").  Orthogonal to ``use_localized``, which selects
+            ``"batched"`` (the array-native centralized engine in
+            ``repro.engine``), ``"legacy"`` (the original per-node
+            scalar paths), or ``"sparse"`` (grid-bucketed candidate
+            pairs and chunked kernels, never materialising an N×N
+            matrix — the tier for N in the tens of thousands).
+            ``legacy`` and ``batched`` are bitwise identical; ``sparse``
+            is held to a 1e-9 tolerance contract with identical round
+            counts and exact communication counters (see DESIGN.md,
+            "The sparse engine tier").  The distributed pipeline runs
+            ``batched`` as ``sparse``: its dense round-level backend
+            was retired because the sparse one was faster at every
+            measured size, so the shared default keeps serving both
+            pipelines.  Orthogonal to ``use_localized``, which selects
             how each individual region is computed.
     """
 

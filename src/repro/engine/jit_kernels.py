@@ -4,9 +4,7 @@ The sparse tier's hot loops are memory-bandwidth bound in NumPy: the
 per-pass body of :func:`~repro.engine.sparse_kernels.clip_cells_batch`
 (first-event classification of each piece's upcoming competitors, the
 fused two-sided Sutherland–Hodgman over crossing pieces, and the ring
-compression that dedupes the emitted children) and the circle-check
-closer-counting panels of the distributed gather (every ``(known,
-sample)`` pair is expanded into a float64 panel).  This module gives
+compression that dedupes the emitted children).  This module gives
 each of them a *kernel seam*: one NumPy body that reproduces the exact
 array expressions the kernels used before the seam existed, so the seam
 changes no floats.
@@ -14,8 +12,9 @@ changes no floats.
 The seams split their work into chunk-ordered ranges with disjoint
 outputs on the shared kernel thread pool (``REPRO_KERNEL_THREADS``, see
 :mod:`repro.engine.kernels`), so any worker count is bitwise identical
-to serial (``compress_rings`` runs inside the clip seam's chunks).  Plain-loop rewrites of each body live with the tests as
-oracles (``tests/kernel_oracles.py``); DESIGN.md "Kernel seams" has the
+to serial (``compress_rings`` runs inside the clip seam's chunks).
+Plain-loop rewrites of each body live with the tests as oracles
+(``tests/kernel_oracles.py``); DESIGN.md "Kernel seams" has the
 contract.
 """
 
@@ -25,17 +24,12 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.kernels import (
-    chunk_budget_bytes,
-    run_chunk_tasks,
-    split_ranges,
-)
+from repro.engine.kernels import run_chunk_tasks, split_ranges
 from repro.geometry.primitives import EPS
 
 __all__ = [
     "kernel_tier",
     "halfplane_minmax",
-    "closer_counts",
     "classify_first_events",
     "clip_crossing_pieces",
     "compress_rings",
@@ -115,119 +109,6 @@ def _halfplane_minmax_numpy(vx, vy, starts, counts, coeff_a, coeff_b, coeff_c):
     val = coeff_a[vert_piece] * gvx + coeff_b[vert_piece] * gvy - coeff_c[vert_piece]
     substarts = np.cumsum(counts) - counts
     return np.maximum.reduceat(val, substarts), np.minimum.reduceat(val, substarts)
-
-
-def closer_counts(
-    kx: np.ndarray,
-    ky: np.ndarray,
-    offsets: np.ndarray,
-    counts: np.ndarray,
-    sample_x: np.ndarray,
-    sample_y: np.ndarray,
-    threshold_sq: np.ndarray,
-    cap: int,
-    k: int,
-) -> np.ndarray:
-    """Decision-equivalent closer-than-node counts per ``(row, sample)``.
-
-    Row ``i`` owns the ``counts[i]`` known positions starting at flat
-    offset ``offsets[i]`` in ``kx/ky``; ``sample_x/sample_y/
-    threshold_sq`` are ``(rows, samples)`` panels.  Counting is
-    two-staged: a prefix of ``cap`` knowns settles most samples (a
-    subset count already ``>= k`` can only grow), and only rows with a
-    still-short sample pay for the remainder, whose totals are then
-    exact.  Rows settled by stage 1 report the prefix count, so the
-    returned matrix is *decision*-equivalent (``count >= k`` agrees
-    everywhere with the one-shot count), not value-equal.
-    """
-    n_rows = int(offsets.shape[0])
-    n_samples = int(sample_x.shape[1]) if sample_x.ndim == 2 else 0
-    out = np.zeros((n_rows, n_samples), dtype=np.int64)
-    if n_rows == 0 or n_samples == 0:
-        return out
-    # Chunked panels, both stages inside one row walk.  The panel
-    # expression is the pre-seam one (``kx[g][:, None] - sample_x``
-    # squared in place, summed, compared to ``threshold_sq``,
-    # ``np.add.reduceat`` over owner groups), so counts are bitwise
-    # identical to the historic two-pass implementation.
-    rows = np.arange(n_rows, dtype=np.int64)
-    use = np.minimum(counts, cap)
-    _panel_counts(
-        kx, ky, offsets, use, rows, sample_x, sample_y, threshold_sq, out, add=False
-    )
-    need = np.nonzero((counts > cap) & np.any(out < k, axis=1))[0]
-    if need.size:
-        _panel_counts(
-            kx,
-            ky,
-            offsets[need] + cap,
-            counts[need] - cap,
-            need,
-            sample_x,
-            sample_y,
-            threshold_sq,
-            out,
-            add=True,
-        )
-    return out
-
-
-def _panel_counts(
-    kx, ky, offsets, ncand, rows, sample_x, sample_y, threshold_sq, out, add
-):
-    """One chunked counting pass over ``(row, known, sample)`` panels.
-
-    ``rows[i]`` is the global row (into the sample panels and ``out``)
-    owning the ``ncand[i]`` knowns at flat offset ``offsets[i]``.
-    """
-    n_rows = offsets.shape[0]
-    n_samples = sample_x.shape[1]
-    budget = max(chunk_budget_bytes(), 1)
-    per_pair_bytes = n_samples * 8 * 3
-    bounds = []
-    start = 0
-    while start < n_rows:
-        stop = start
-        pair_total = 0
-        while (
-            stop < n_rows
-            and (pair_total + ncand[stop]) * per_pair_bytes <= budget
-        ):
-            pair_total += ncand[stop]
-            stop += 1
-        stop = max(stop, start + 1)
-        bounds.append((start, stop))
-        start = stop
-
-    def _chunk(start: int, stop: int):
-        def task() -> None:
-            sub_counts = ncand[start:stop]
-            total = int(sub_counts.sum())
-            if not total:
-                return
-            gidx = ragged_indices(offsets[start:stop], sub_counts)
-            pair_row = rows[start:stop][segment_ids(sub_counts, total)]
-            pdx = kx[gidx][:, None] - sample_x[pair_row]
-            pdy = ky[gidx][:, None] - sample_y[pair_row]
-            np.multiply(pdx, pdx, out=pdx)
-            np.multiply(pdy, pdy, out=pdy)
-            pdx += pdy
-            closer = pdx < threshold_sq[pair_row]
-            group_starts = np.cumsum(sub_counts) - sub_counts
-            nz = sub_counts > 0
-            block = np.zeros((stop - start, n_samples), dtype=np.int64)
-            block[nz] = np.add.reduceat(closer, group_starts[nz], axis=0)
-            if add:
-                out[rows[start:stop]] += block
-            else:
-                out[rows[start:stop]] = block
-
-        return task
-
-    # Chunks own disjoint row blocks of ``out`` (``rows`` is strictly
-    # increasing), so the panel chunks run concurrently on the kernel
-    # thread pool with bitwise-serial results.
-    run_chunk_tasks([_chunk(lo, hi) for lo, hi in bounds])
 
 
 # ----------------------------------------------------------------------

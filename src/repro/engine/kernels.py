@@ -221,7 +221,7 @@ def split_ranges(
     ]
 
 
-def _check_dense_budget(n: int, matrices: int) -> None:
+def _check_dense_budget(n: int) -> None:
     """Refuse a dense ``(N, N)`` allocation that would blow the byte cap.
 
     Raises a *clear* ``MemoryError`` before NumPy attempts the
@@ -230,11 +230,11 @@ def _check_dense_budget(n: int, matrices: int) -> None:
     so the guard is on the output size, chunked or not.
     """
     cap = dense_matrix_byte_cap()
-    needed = n * n * 8 * matrices
+    needed = n * n * 8
     if needed > cap:
         raise MemoryError(
             f"dense pairwise distance matrix for {n} points needs "
-            f"{needed / 1e9:.1f} GB ({matrices} float64 matrix(es) of "
+            f"{needed / 1e9:.1f} GB (a float64 matrix of "
             f"{n}x{n}), exceeding the {cap / 1e9:.1f} GB cap; use the "
             f'sparse engine tier (LaacadConfig(engine="sparse") or '
             f"REPRO_ENGINE=sparse), which never builds an N x N matrix, "
@@ -278,57 +278,6 @@ def plan_chunks(
         yield start, min(start + chunk, total_items)
 
 
-def csr_pair_distances(
-    centers: np.ndarray,
-    point_x: np.ndarray,
-    point_y: np.ndarray,
-    indices: np.ndarray,
-    indptr: np.ndarray,
-    budget: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Hypot and squared distances for CSR candidate-pair lists, chunked.
-
-    The sparse tier's replacement for the dense
-    :func:`pairwise_distance_and_sq`: ``indices[indptr[i]:indptr[i+1]]``
-    are the candidate partners of center ``i`` (as produced by
-    ``SpatialGrid.query_radius_many``), and the returned arrays are
-    aligned with ``indices``.  Per element the arithmetic is exactly the
-    dense kernel's (``np.hypot(dx, dy)`` and ``dx*dx + dy*dy`` on the
-    same operands), so thresholds and hop counts derived from either
-    form agree bitwise; the output is sized first and the pair list is
-    streamed through in budget-bounded chunks.
-    """
-    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
-    total = int(indices.shape[0])
-    owners = np.repeat(
-        np.arange(centers.shape[0], dtype=np.int64), np.diff(indptr)
-    )
-    dist = np.empty(total, dtype=float)
-    dist_sq = np.empty(total, dtype=float)
-
-    def _chunk(start: int, stop: int):
-        def task() -> None:
-            idx = indices[start:stop]
-            own = owners[start:stop]
-            dx = point_x[idx] - centers[own, 0]
-            dy = point_y[idx] - centers[own, 1]
-            dist[start:stop] = np.hypot(dx, dy)
-            dist_sq[start:stop] = dx * dx + dy * dy
-
-        return task
-
-    # Transient footprint per pair: owner row, gathered coordinates and
-    # the dx/dy temporaries (~6 float64 lanes).  Chunks write disjoint
-    # output slices, so dispatching them across the kernel thread pool
-    # is bitwise invisible.
-    workers = kernel_threads()
-    run_chunk_tasks(
-        [_chunk(start, stop) for start, stop in plan_chunks(total, 48, budget, workers)],
-        workers,
-    )
-    return dist, dist_sq
-
-
 # ----------------------------------------------------------------------
 # Distance kernels
 # ----------------------------------------------------------------------
@@ -367,7 +316,7 @@ def pairwise_distance_matrix(
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = pts.shape[0]
-    _check_dense_budget(n, 1)
+    _check_dense_budget(n)
     if chunk_size is None or n <= chunk_size:
         dx = pts[:, 0][:, None] - pts[:, 0][None, :]
         dy = pts[:, 1][:, None] - pts[:, 1][None, :]
@@ -379,50 +328,6 @@ def pairwise_distance_matrix(
         dy = block[:, 1][:, None] - pts[:, 1][None, :]
         out[start : start + block.shape[0]] = np.hypot(dx, dy)
     return out
-
-
-def pairwise_distance_and_sq(
-    points: np.ndarray, chunk_size: Optional[int] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense ``(N, N)`` hypot *and* squared distance matrices in one pass.
-
-    The distributed round engine needs both forms of the same pairwise
-    geometry with two different numerical contracts:
-
-    * the squared matrix (``dx*dx + dy*dy``) drives ring *membership*,
-      which must reproduce ``SpatialGrid.query_radius``'s
-      ``dx*dx + dy*dy <= r2 + 1e-15`` test bitwise (the ``1e-15`` slack
-      deliberately admits boundary-exact points, e.g. lattice spacings
-      that tie a ring radius, so the squared form cannot be derived from
-      the rounded hypot distance);
-    * the hypot matrix feeds hop counting
-      (``ceil(distance / gamma - 1e-9)``), a threshold decision where
-      ``np.hypot``'s potential 1-ulp difference from ``math.hypot`` is
-      covered by rule 2 of the numerical contract above.
-
-    Sharing one ``dx``/``dy`` evaluation keeps the two matrices
-    consistent and halves the broadcast work; ``chunk_size`` bounds the
-    intermediate memory exactly like :func:`pairwise_distance_matrix`.
-    Raises a descriptive ``MemoryError`` (suggesting ``engine="sparse"``)
-    when the *two* output matrices would exceed
-    :func:`dense_matrix_byte_cap`.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = pts.shape[0]
-    _check_dense_budget(n, 2)
-    if chunk_size is None or n <= chunk_size:
-        dx = pts[:, 0][:, None] - pts[:, 0][None, :]
-        dy = pts[:, 1][:, None] - pts[:, 1][None, :]
-        return np.hypot(dx, dy), dx * dx + dy * dy
-    dist = np.empty((n, n), dtype=float)
-    dist_sq = np.empty((n, n), dtype=float)
-    for start in range(0, n, chunk_size):
-        block = pts[start : start + chunk_size]
-        dx = block[:, 0][:, None] - pts[:, 0][None, :]
-        dy = block[:, 1][:, None] - pts[:, 1][None, :]
-        dist[start : start + block.shape[0]] = np.hypot(dx, dy)
-        dist_sq[start : start + block.shape[0]] = dx * dx + dy * dy
-    return dist, dist_sq
 
 
 def disk_cover_counts(

@@ -210,8 +210,9 @@ def run_protocol_overhead(
     """Communication cost of the distributed protocol per round.
 
     ``engine`` selects the distributed round backend (default:
-    REPRO_ENGINE / batched); both backends produce identical counters,
-    so this only affects wall-clock time.
+    REPRO_ENGINE / batched, which the distributed pipeline runs as
+    sparse); both backends produce identical counters, and geometry
+    within the 1e-9 tolerance contract.
     """
     if engine is None:
         engine = resolve_engine()

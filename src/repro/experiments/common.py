@@ -18,10 +18,10 @@ FULL_SCALE_ENV = "REPRO_FULL_SCALE"
 #: Environment variable selecting the round-engine backend every
 #: experiment runner uses ("batched", "legacy" or "sparse"); the CLI's
 #: ``--engine`` flag sets it.  "batched" and "legacy" produce bitwise
-#: identical results; "sparse" trades that for a 1e-9 tolerance
-#: contract and sub-quadratic memory/time, unlocking node counts the
-#: dense tiers cannot allocate (see DESIGN.md, "The sparse engine
-#: tier").
+#: identical centralized results; "sparse" trades that for a 1e-9
+#: tolerance contract and sub-quadratic memory/time, unlocking node
+#: counts the dense tier cannot allocate (see DESIGN.md, "The sparse
+#: engine tier").  Distributed runners run "batched" as "sparse".
 ENGINE_ENV = "REPRO_ENGINE"
 
 #: Worker processes every runner's scenario sweep uses; the CLI's

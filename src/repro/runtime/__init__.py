@@ -18,7 +18,6 @@ from repro.runtime.messages import Message, MessageKind
 from repro.runtime.scheduler import SynchronousScheduler, CommunicationStats
 from repro.runtime.agent import NodeAgent
 from repro.runtime.engines import (
-    BatchedDistributedEngine,
     DistributedEngineRound,
     DistributedRoundEngine,
     LegacyDistributedEngine,
@@ -36,7 +35,6 @@ __all__ = [
     "SynchronousScheduler",
     "CommunicationStats",
     "NodeAgent",
-    "BatchedDistributedEngine",
     "DistributedEngineRound",
     "DistributedRoundEngine",
     "LegacyDistributedEngine",

@@ -1,69 +1,79 @@
-"""Sparse distributed backend: grid-fed rings, cross-node clipping.
+"""Sparse distributed backend: grid-fed rings, arc-counted checks, one clip.
 
-:class:`~repro.runtime.engines.BatchedDistributedEngine` removed the
-per-message Python of the legacy agents but kept two scalability walls:
-the dense N×N distance matrices and a Python loop that walks every
-node's expanding-ring schedule (and budgeted clipping sweep) one node
-at a time.  This backend removes both:
+The round-level simulation of the protocol that the message-level
+``legacy`` agents (:mod:`repro.runtime.engines`) execute node by node:
 
 * candidates come from :class:`~repro.network.neighbors.SpatialGrid`
   batch queries — the grid is built with the same cell size the scan
   order contract uses, so a bucket walk enumerates ring members in
   exactly the legacy scan order;
+* the Algorithm-2 half-radius circle check counts, per circle sample,
+  the known neighbours strictly closer than the site by angular
+  intervals (:func:`arc_closer_counts`), over chunks of
+  ``_GATHER_CHUNK`` nodes, without a ``(pairs × samples)`` panel;
 * with a **loss-free channel** the gather runs *level-synchronously*:
   all still-searching nodes share the same ring radius schedule, so one
   array pass per ring level accounts every node's new exchanges (bulk
   :meth:`~repro.runtime.scheduler.SynchronousScheduler.record_many` —
   loss-free accounting is a sum, so bulk order cannot change it) and
-  one vectorised Algorithm-2 circle check retires all dominated nodes
-  at once.  No RNG is consumed on a loss-free channel, so draw order
-  is trivially preserved;
+  one chunked circle check retires all dominated nodes at once, with
+  free-area containment evaluated only at the samples short of ``k``.
+  No RNG is consumed on a loss-free channel, so draw order is trivially
+  preserved;
 * with a **lossy channel** the loss draws must be consumed node by
   node in the legacy order (the RNG draw-order contract of
   ``repro.runtime.engines``, bit for bit), so the gather walks the
   nodes of each chunk in lockstep over its first ring levels: per
   chunk, one grid fetch of every node's candidates, one free-area
-  containment pass over the circle samples, and the loss-free
-  closer-than-the-site counts of every sample by angular intervals;
-  then a plain-Python walk draws each level's loss samples and settles
-  its circle check from those counts (domination is monotone in the
-  known set).  A node still searching after the precomputed levels
-  replays the per-node walk of the batched backend
-  (``_expanding_rings``) from its saved RNG state;
-* the per-node budgeted clipping sweeps are replaced by one
+  containment pass over the circle samples, and the loss-free closer
+  counts of every sample; then a plain-Python walk draws each level's
+  loss samples and settles its circle check from those counts
+  (domination is monotone in the known set).  A node still searching
+  after the precomputed levels replays the legacy walk over arrays
+  (``_replay_walk``) from its saved RNG state;
+* the per-node clipping sweeps are replaced by one
   :func:`~repro.engine.sparse_kernels.clip_cells_batch` call over all
   nodes, and the per-round summary (Chebyshev centers, displacements,
   move proposals) by :func:`~repro.engine.sparse_kernels.mec_batch`.
 
 Numerical contract: **tolerance, not bitwise** (DESIGN.md "Sparse
-engine tier") — positions/ranges/areas within 1e-9 of the batched
-backend, identical convergence behaviour on the reference scenarios.
-The gather decisions themselves (ring membership, hop counts, circle
-checks, loss draws) reuse the exact arithmetic of the batched backend,
-so the tolerance enters only through the fused clipping and the MEC.
+engine tier") — positions/ranges/areas within 1e-9 of the ``legacy``
+backend; identical rounds, communication counters and RNG state.  The
+gather decisions (ring membership, hop counts, loss draws and the
+circle checks, whose closer test is the walk's own ``hypot``
+comparison, counted exactly) follow the legacy agent's arithmetic, so
+the tolerance enters only through the fused clipping and the MEC.
 """
 
 from __future__ import annotations
 
 import collections
 import math
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.jit_kernels import closer_counts, segment_ids
+from repro.engine.jit_kernels import segment_ids
+from repro.engine.kernels import BatchedRegionContainment
 from repro.engine.pieces import LazyRegions, materialize_pieces
 from repro.engine.sparse_kernels import clip_cells_batch, mec_batch
+from repro.geometry.primitives import Point
 from repro.network.neighbors import SpatialGrid
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.runtime.engines import (
-    BatchedDistributedEngine,
     DistributedEngineRound,
+    DistributedRoundEngine,
     register_distributed_engine,
     summarize_protocol_round,
 )
+from repro.runtime.messages import POSITION_REPORT_BYTES, RING_QUERY_BYTES
 from repro.voronoi.dominating import DominatingRegion
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.config import LaacadConfig
+    from repro.network.network import SensorNetwork
+    from repro.runtime.scheduler import SynchronousScheduler
 
 __all__ = ["SparseDistributedEngine"]
 
@@ -74,9 +84,10 @@ _GRID_CANDIDATES = _metrics.counter(
     "Candidate neighbors returned by spatial-grid radius queries",
 )
 
-#: Alive rows per lossy gather chunk: bounds the chunk's candidate CSR
-#: and its per-sample panels at any N.  In single N=2000 deployments
-#: 128 and 256 rows ran within noise of 64, in speed and in peak RSS.
+#: Alive rows per gather chunk: bounds the lossy chunk's candidate CSR
+#: and every chunk's per-sample counts at any N.  In single N=2000
+#: lossy deployments 128 and 256 rows ran within noise of 64, in speed
+#: and in peak RSS.
 _GATHER_CHUNK = 64
 
 #: Ring levels the lossy gather precomputes per chunk (circle-sample
@@ -233,10 +244,35 @@ def _extend_schedule(rhos: List[float], thresholds: List[float], upto: int, step
 
 
 @register_distributed_engine
-class SparseDistributedEngine(BatchedDistributedEngine):
+class SparseDistributedEngine(DistributedRoundEngine):
     """Grid-bucketed, level-synchronous protocol rounds."""
 
     name = "sparse"
+
+    def __init__(
+        self,
+        network: "SensorNetwork",
+        config: "LaacadConfig",
+        scheduler: "SynchronousScheduler",
+    ) -> None:
+        super().__init__(network, config, scheduler)
+        # Sample directions of the Algorithm-2 half-radius circle check,
+        # computed with math.cos/math.sin so the sample points are
+        # bitwise the legacy agent's.
+        samples = config.circle_check_samples
+        self._circle_cos = np.asarray(
+            [math.cos(2.0 * math.pi * i / samples) for i in range(samples)]
+        )
+        self._circle_sin = np.asarray(
+            [math.sin(2.0 * math.pi * i / samples) for i in range(samples)]
+        )
+        # Interleaved (query, reply) sizes, tiled per ring batch.
+        self._exchange_sizes = np.asarray(
+            [RING_QUERY_BYTES, POSITION_REPORT_BYTES], dtype=np.int64
+        )
+        # Vectorised free-area containment for the circle samples,
+        # decision-exact against region.contains.
+        self._containment = BatchedRegionContainment(network.region)
 
     # ------------------------------------------------------------------
     def run_round(self, round_index: int) -> DistributedEngineRound:
@@ -310,17 +346,13 @@ class SparseDistributedEngine(BatchedDistributedEngine):
 
         # Delivered pairs, appended level by level (owner-grouped, scan
         # order within a level — the legacy delivery order).
-        acc_owner: List[np.ndarray] = []
-        acc_cand: List[np.ndarray] = []
-        # Flat known positions for the vectorised circle checks.
-        known_owner = np.zeros(0, dtype=np.int64)
-        known_x = np.zeros(0)
-        known_y = np.zeros(0)
+        known_owner = _NO_IDS
+        known_cand = _NO_IDS
         # Candidate pairs of the current fetch horizon.
-        pair_owner = np.zeros(0, dtype=np.int64)
-        pair_cand = np.zeros(0, dtype=np.int64)
-        pair_ring = np.zeros(0, dtype=np.int64)
-        pair_hops = np.zeros(0, dtype=np.int64)
+        pair_owner = _NO_IDS
+        pair_cand = _NO_IDS
+        pair_ring = _NO_IDS
+        pair_hops = _NO_IDS
 
         fetched_levels = 0
         level = 0
@@ -347,33 +379,31 @@ class SparseDistributedEngine(BatchedDistributedEngine):
                         segment_ids(np.diff(indptr), cand.shape[0])
                     ]
                     ow_node = alive_rows[ow_row]
-                    keep = alive[cand] & (cand != ow_node)
-                    cand = cand[keep]
-                    ow_row = ow_row[keep]
-                    ow_node = ow_node[keep]
                     dx = px[cand] - px[ow_node]
                     dy = py[cand] - py[ow_node]
-                    dist_sq = dx * dx + dy * dy
-                    hops = np.maximum(
-                        1, np.ceil(np.hypot(dx, dy) / gamma - 1e-9)
-                    ).astype(np.int64)
                     # Ring index: first level whose inclusion threshold
                     # admits the pair (identical float schedule as the
                     # scalar rho accumulation).
                     ring = (
                         np.searchsorted(
                             np.asarray(thresholds[:new_fetched]),
-                            dist_sq,
+                            dx * dx + dy * dy,
                             side="left",
                         )
                         + 1
                     )
-                    fresh = ring >= level
-                    order = np.lexsort((ring[fresh], ow_row[fresh]))
-                    pair_owner = ow_row[fresh][order]
-                    pair_cand = cand[fresh][order]
-                    pair_ring = ring[fresh][order]
-                    pair_hops = hops[fresh][order]
+                    # Alive non-self pairs of the rings still to come,
+                    # owner-major and ring-major (scan order within).
+                    fresh = np.nonzero(
+                        alive[cand] & (cand != ow_node) & (ring >= level)
+                    )[0]
+                    fresh = fresh[np.lexsort((ring[fresh], ow_row[fresh]))]
+                    pair_owner = ow_row[fresh]
+                    pair_cand = cand[fresh]
+                    pair_ring = ring[fresh]
+                    pair_hops = np.maximum(
+                        1, np.ceil(np.hypot(dx[fresh], dy[fresh]) / gamma - 1e-9)
+                    ).astype(np.int64)
                     fetched_levels = new_fetched
 
             mask = (pair_ring == level) & active[pair_owner]
@@ -384,174 +414,81 @@ class SparseDistributedEngine(BatchedDistributedEngine):
                         np.repeat(level_hops, 2),
                         np.tile(sizes, level_hops.shape[0]),
                     )
-                    lvl_owner = pair_owner[mask]
-                    lvl_cand = pair_cand[mask]
-                    acc_owner.append(lvl_owner)
-                    acc_cand.append(lvl_cand)
-                    known_owner = np.concatenate((known_owner, lvl_owner))
-                    known_x = np.concatenate((known_x, px[lvl_cand]))
-                    known_y = np.concatenate((known_y, py[lvl_cand]))
+                    known_owner = np.concatenate((known_owner, pair_owner[mask]))
+                    known_cand = np.concatenate((known_cand, pair_cand[mask]))
 
             # Algorithm-2 stop checks for every active node at once.
             with _trace.span("circle_check"):
                 rows_active = np.nonzero(active)[0]
-                sel = active[known_owner]
-                ko = known_owner[sel]
-                by_owner = np.argsort(ko, kind="stable")
-                ko = ko[by_owner]
-                row_local = np.full(n_alive, -1, dtype=np.int64)
-                row_local[rows_active] = np.arange(rows_active.shape[0])
-                local = row_local[ko]
-                counts_local = np.bincount(local, minlength=rows_active.shape[0])
-                kptr = np.concatenate(([0], np.cumsum(counts_local))).astype(
-                    np.int64
-                )
-                dominated = self._circle_dominated_many(
-                    px[alive_rows[rows_active]],
-                    py[alive_rows[rows_active]],
+                sel = np.nonzero(active[known_owner])[0]
+                sel = sel[np.argsort(known_owner[sel], kind="stable")]
+                sites = alive_rows[rows_active]
+                dominated = self._lossfree_dominated(
+                    px[sites],
+                    py[sites],
+                    np.searchsorted(rows_active, known_owner[sel]),
+                    px[known_cand[sel]],
+                    py[known_cand[sel]],
                     rho / 2.0,
-                    known_x[sel][by_owner],
-                    known_y[sel][by_owner],
-                    kptr,
                 )
                 stopping = dominated | (rho >= max_radius)
                 stop_rows = rows_active[stopping]
                 rho_final[stop_rows] = rho
                 active[stop_rows] = False
 
-        # Assemble per-node known lists in delivery order.
-        if acc_owner:
-            all_owner = np.concatenate(acc_owner)
-            all_cand = np.concatenate(acc_cand)
-            seq = np.concatenate(
-                [
-                    np.full(chunk.shape[0], i, dtype=np.int64)
-                    for i, chunk in enumerate(acc_owner)
-                ]
-            )
-            order = np.lexsort((seq, all_owner))
-            known_counts = np.bincount(all_owner, minlength=n_alive)
-            known_ids = all_cand[order]
-        else:
-            known_counts = np.zeros(n_alive, dtype=np.int64)
-            known_ids = np.zeros(0, dtype=np.int64)
+        # Per-node known lists in delivery order: owner-major, then the
+        # order the levels appended them.
+        order = np.argsort(known_owner, kind="stable")
+        known_counts = np.bincount(known_owner, minlength=n_alive)
         known_indptr = np.concatenate(([0], np.cumsum(known_counts))).astype(np.int64)
-        return known_ids, known_indptr, rho_final
+        return known_cand[order], known_indptr, rho_final
 
-    def _circle_dominated_many(
+    def _lossfree_dominated(
         self,
         sx: np.ndarray,
         sy: np.ndarray,
-        radius: float,
+        owner: np.ndarray,
         kx: np.ndarray,
         ky: np.ndarray,
-        kptr: np.ndarray,
+        radius: float,
     ) -> np.ndarray:
-        """Vectorised half-radius domination check for many nodes.
+        """The half-radius circle check of many nodes, with all their knowns.
 
-        Per node: every free-area sample point on the half-radius circle
-        must see at least ``k`` known neighbours strictly closer than
-        the node itself.  Decisions mirror the scalar
-        ``_circle_dominated`` with one tolerance-contract deviation:
-        "closer" is decided on squared distances (``d² < t²`` instead
-        of ``hypot(d) < t``), which can differ only when a neighbour
-        sits within an ulp of the 1e-12 comparison margin.
-
-        The decision per node is ``all over samples of (count >= k or
-        sample outside the free area)`` — a node with *no* inside
-        sample is vacuously dominated, so the formula subsumes the
-        scalar early-out.  Containment is therefore only evaluated at
-        the samples whose closer-count falls short of ``k`` (the only
-        places it can influence the verdict), which is typically a tiny
-        fraction of the sample set.  The counting itself — candidate
-        gather, squared distances, and the two-stage cap-then-remainder
-        schedule (a subset count already >= k can only grow, so only
-        rows with a still-short sample pay for the knowns beyond the
-        first ``max(16, 8k)``) — is the fused
-        :func:`repro.engine.jit_kernels.closer_counts` kernel, whose
-        totals are decision-identical to a one-shot count.
+        ``owner`` (ascending) maps each known position to its node row.
+        Per chunk of ``_GATHER_CHUNK`` rows, :func:`arc_closer_counts`
+        gives every circle sample's exact count under the walk's own
+        closer test, and free-area containment runs only at the samples
+        short of ``k`` — the only ones that can block.  A node is
+        dominated when none of its short samples is inside, which is
+        the verdict of ``_circle_dominated`` (a node with no inside
+        sample is vacuously dominated there too).
         """
-        a = sx.shape[0]
-        n_samples = self._circle_cos.shape[0]
-        sample_x = sx[:, None] + radius * self._circle_cos[None, :]
-        sample_y = sy[:, None] + radius * self._circle_sin[None, :]
-        counts = np.diff(kptr)
         k = self.config.k
-
-        def blocked(row_sel: np.ndarray, col_sel: np.ndarray) -> np.ndarray:
-            """Rows (of ``row_sel``) with a blocking sample among ``col_sel``.
-
-            Evaluates exactly the per-(row, sample) decision of the
-            one-shot check — counting kernel, then containment at the
-            short samples only — restricted to the given panel slice.
-            """
-            n_rows = row_sel.shape[0]
-            n_cols = col_sel.shape[0]
-            counted = np.zeros((n_rows, n_cols), dtype=np.int64)
-            # Rows with fewer than ``k`` knowns are counted-out a
-            # priori: no sample can reach ``k`` closer neighbours, so
-            # every sample is short regardless of the actual counts and
-            # the verdict is decided by containment alone — the kernel
-            # would change nothing about the decision.
-            kern = np.nonzero(counts[row_sel] >= k)[0]
-            if kern.size:
-                krows = row_sel[kern]
-                sample_x_r = np.ascontiguousarray(
-                    sample_x[np.ix_(krows, col_sel)]
-                )
-                sample_y_r = np.ascontiguousarray(
-                    sample_y[np.ix_(krows, col_sel)]
-                )
-                threshold = np.hypot(
-                    sx[krows, None] - sample_x_r, sy[krows, None] - sample_y_r
-                )
-                threshold -= 1e-12
-                np.maximum(threshold, 0.0, out=threshold)
-                threshold_sq = threshold * threshold
-                # Stage-1 budget for the two-stage counting kernel.
-                # Any value is decision-equivalent (a prefix count
-                # already at ``k`` only grows when more knowns are
-                # folded in); 8*k is the measured sweet spot between
-                # stage-1 panel traffic and stage-2 fallback rows.
-                cap = max(16, 8 * k)
-                counted[kern] = closer_counts(
-                    kx,
-                    ky,
-                    kptr[krows],
-                    counts[krows],
-                    sample_x_r,
-                    sample_y_r,
-                    threshold_sq,
-                    cap,
-                    k,
-                )
-            short = counted < k
-            srow, scol = np.nonzero(short)
-            if not srow.size:
-                return np.zeros(n_rows, dtype=bool)
-            inside = self._containment.contains(
-                sample_x[row_sel[srow], col_sel[scol]],
-                sample_y[row_sel[srow], col_sel[scol]],
+        cos_table = self._circle_cos
+        sin_table = self._circle_sin
+        n_rows = sx.shape[0]
+        dominated = np.ones(n_rows, dtype=bool)
+        for first in range(0, n_rows, _GATHER_CHUNK):
+            last = min(first + _GATHER_CHUNK, n_rows)
+            lo, hi = np.searchsorted(owner, (first, last)).tolist()
+            counts = arc_closer_counts(
+                sx[first:last],
+                sy[first:last],
+                owner[lo:hi] - first,
+                kx[lo:hi],
+                ky[lo:hi],
+                radius,
+                cos_table,
+                sin_table,
             )
-            return np.bincount(srow[inside], minlength=n_rows) > 0
-
-        # Two-phase evaluation: a strided sixth of the samples spans
-        # the whole circle, so any blocking arc wider than one stride
-        # shows up in the first (cheap) panel and finalises its row as
-        # not-dominated without ever paying for the other five sixths.
-        # The survivors — at late gather levels, nearly everyone — then
-        # pay exactly the remaining samples, so the split never costs
-        # more than one extra kernel dispatch.  Decisions are the
-        # one-shot ones: the phases partition the sample set and each
-        # (row, sample) verdict is computed with the same arithmetic.
-        all_rows = np.arange(a, dtype=np.int64)
-        phase_a = np.arange(0, n_samples, 6, dtype=np.int64)
-        phase_b = np.setdiff1d(np.arange(n_samples, dtype=np.int64), phase_a)
-        block_a = blocked(all_rows, phase_a)
-        survivors = np.nonzero(~block_a)[0]
-        dominated = np.zeros(a, dtype=bool)
-        if survivors.size:
-            dominated[survivors] = ~blocked(survivors, phase_b)
+            rows, cols = np.nonzero(counts < k)
+            if rows.size:
+                rows += first
+                blocking = self._containment.contains(
+                    sx[rows] + radius * cos_table[cols],
+                    sy[rows] + radius * sin_table[cols],
+                )
+                dominated[rows[blocking]] = False
         return dominated
 
     # ------------------------------------------------------------------
@@ -601,7 +538,7 @@ class SparseDistributedEngine(BatchedDistributedEngine):
            subtracted from the loss-free counts (``exact``).
 
         A node still searching after the last precomputed level restores
-        its RNG state and reruns the per-node walk ``_expanding_rings``
+        its RNG state and reruns the per-node walk ``_replay_walk``
         (``replay``), which fetches candidates past the horizon itself.
         Message accounting is committed once per chunk as sums, and the
         check paths are counted in ``repro_lossy_circle_checks_total``.
@@ -836,40 +773,96 @@ class SparseDistributedEngine(BatchedDistributedEngine):
         max_radius: float,
         horizon: float,
     ) -> Tuple[np.ndarray, float]:
-        """One node's per-node walk: delivered ids (in order) and final rho.
+        """One node's legacy walk over arrays: delivered ids and final rho.
 
         ``ids``/``dist_sq``/``hops`` are the node's candidates within
-        ``horizon``; a ring past it re-fetches the node's candidates
-        with a per-node ``query_radius`` (the walk's ``extend``), the new
-        arrays holding the old ones in the same scan order.
+        ``horizon`` in scan order; ``inside[i]`` is the containment mask
+        of the circle samples of ring level ``i + 1``.  Per ring (radius
+        accumulated by ``rho += step``): members are the grid's
+        inclusion test ``dist_sq <= rho^2 + 1e-15`` over the still
+        unknown candidates, their exchanges are accounted — and their
+        loss draws consumed — by one ``record_many``, and the circle
+        check runs on the known set in delivery order.  A ring past the
+        horizon re-fetches the candidates with a per-node
+        ``query_radius`` of twice the horizon; the new arrays hold the
+        old candidates in the same scan order.
         """
+        scheduler = self.scheduler
+        sizes = self._exchange_sizes
         site = self.network.nodes[node_index].position
-        count = positions.shape[0]
-        state = {"horizon": horizon, "ids": ids}
+        known = np.zeros(ids.shape[0], dtype=bool)
+        delivered: List[int] = []
+        rho = 0.0
+        level = 0
+        while True:
+            rho += step
+            level += 1
+            if rho > horizon:
+                horizon = max(horizon * 2.0, rho)
+                found = np.asarray(grid.query_radius(site, horizon), dtype=np.int64)
+                _, new_ids, dist_sq, hops = pairs(found, np.full_like(found, node_index))
+                row_of = np.full(positions.shape[0], -1, dtype=np.int64)
+                row_of[new_ids] = np.arange(new_ids.shape[0])
+                delivered = row_of[ids[delivered]].tolist()
+                ids = new_ids
+                known = np.zeros(ids.shape[0], dtype=bool)
+                known[delivered] = True
+            attempts = np.nonzero((dist_sq <= rho * rho + 1e-15) & ~known)[0]
+            if attempts.size:
+                replies = scheduler.record_many(
+                    np.repeat(hops[attempts], 2), np.tile(sizes, attempts.size)
+                )[1::2]
+                got = attempts[replies]
+                known[got] = True
+                delivered.extend(got.tolist())
+            level_inside = inside[level - 1] if level <= inside.shape[0] else None
+            if self._circle_dominated(
+                site, rho / 2.0, positions[ids[delivered]], level_inside
+            ):
+                break
+            if rho >= max_radius:
+                break
+        return ids[delivered], rho
 
-        def extend(rho):
-            if rho <= state["horizon"]:
-                return None
-            state["horizon"] = max(state["horizon"] * 2.0, rho)
-            found = np.asarray(grid.query_radius(site, state["horizon"]), dtype=np.int64)
-            _, new_ids, new_dist_sq, new_hops = pairs(found, np.full_like(found, node_index))
-            position_of = np.full(count, -1, dtype=np.int64)
-            position_of[new_ids] = np.arange(new_ids.shape[0])
-            remap = position_of[state["ids"]]
-            state["ids"] = new_ids
-            return positions[new_ids], new_dist_sq, new_hops, remap
+    def _circle_dominated(
+        self,
+        site: Point,
+        radius: float,
+        neighbor_positions: np.ndarray,
+        inside: Optional[np.ndarray] = None,
+    ) -> bool:
+        """Vectorised Algorithm-2 half-radius check, decision-exact.
 
-        known_order, rho = self._expanding_rings(
-            site,
-            positions[ids],
-            dist_sq,
-            hops,
-            step,
-            max_radius,
-            extend=extend,
-            circle_inside=inside,
-        )
-        return state["ids"][known_order] if known_order else _NO_IDS, rho
+        Sample points are ``site + radius * (cos, sin)`` from the
+        math-library tables; containment runs through the batched
+        free-area kernel (decision-exact against ``region.contains``);
+        the closer-than-me counting compares ``np.hypot`` distances
+        against ``own_distance - 1e-12`` exactly like the scalar loop
+        (rule 2 of the kernels' numerical contract covers the 1-ulp
+        hypot latitude — the 1e-12 tolerance dwarfs it).
+
+        ``inside``, when given, is the samples' containment mask
+        computed in batch by the caller (elementwise the same kernel).
+        """
+        sample_x = site[0] + radius * self._circle_cos
+        sample_y = site[1] + radius * self._circle_sin
+        if inside is None:
+            inside = self._containment.contains(sample_x, sample_y)
+        if not inside.any():
+            return True
+        if neighbor_positions.shape[0] == 0:
+            return False
+        vx = sample_x[inside]
+        vy = sample_y[inside]
+        own_distance = np.hypot(site[0] - vx, site[1] - vy)
+        closer = (
+            np.hypot(
+                neighbor_positions[:, 0][None, :] - vx[:, None],
+                neighbor_positions[:, 1][None, :] - vy[:, None],
+            )
+            < (own_distance - 1e-12)[:, None]
+        ).sum(axis=1)
+        return bool(np.all(closer >= self.config.k))
 
     def _circle_containment(
         self, sx: np.ndarray, sy: np.ndarray, radii: np.ndarray

@@ -168,10 +168,11 @@ class ScenarioSpec:
 
         Two fields are excluded: the ``name`` label (renaming a scenario
         must not invalidate its cached result) and ``engine`` (round
-        backends are contractually bit-identical — enforced by the
-        engine equivalence suite — so a sweep cached under one backend
-        resolves under the other).  An intentionally approximate future
-        backend must therefore be modeled as a different pipeline or an
+        backends are held to the equivalence contracts — bitwise for
+        ``legacy``/``batched``, 1e-9 geometry with identical rounds and
+        counters for ``sparse`` — so a sweep cached under one backend
+        resolves under the other).  A backend outside those contracts
+        must therefore be modeled as a different pipeline or an
         ``extra`` knob, never via ``engine``.
         """
         payload = self.to_dict()

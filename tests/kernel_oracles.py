@@ -3,9 +3,8 @@
 Each function is a scalar, per-piece (or per-row) rewrite of one seam's
 NumPy body, using the same IEEE-754 operations in the same grouping.
 They write into caller-provided output arrays.  ``test_kernel_tiers.py``
-compares them with the seams: bitwise for half-plane values, first
-events, clip vertices and ring compression, and decision-exactly for
-closer counts (``count >= k`` agrees everywhere).
+compares them with the seams, bitwise: half-plane values, first
+events, clip vertices and ring compression.
 """
 
 from __future__ import annotations
@@ -36,52 +35,6 @@ def _halfplane_minmax_loops(vx, vy, starts, counts, ca, cb, cc, pmax, pmin):
                 lo = v
         pmax[p] = hi
         pmin[p] = lo
-
-
-def _closer_counts_loops(
-    kx, ky, offsets, counts, sample_x, sample_y, threshold_sq, cap, k, out
-):
-    """Two-stage closer-than-node counting, fused per row.
-
-    Row ``r`` owns the ``counts[r]`` known positions at
-    ``kx/ky[offsets[r]:offsets[r] + counts[r]]``.  Stage 1 counts the
-    first ``min(counts[r], cap)`` knowns for every sample; only when a
-    sample is still short of ``k`` (and knowns remain) does stage 2 add
-    the remainder.  Comparisons use ``dx*dx + dy*dy < threshold_sq`` on
-    the same operands as the NumPy reference, so the counts compared
-    against ``k`` are identical.
-    """
-    n_rows, n_samples = sample_x.shape
-    for r in range(n_rows):
-        off = offsets[r]
-        n = counts[r]
-        use = n if n < cap else cap
-        short = False
-        for s in range(n_samples):
-            px = sample_x[r, s]
-            py = sample_y[r, s]
-            t = threshold_sq[r, s]
-            cnt = 0
-            for j in range(off, off + use):
-                dx = kx[j] - px
-                dy = ky[j] - py
-                if dx * dx + dy * dy < t:
-                    cnt += 1
-            out[r, s] = cnt
-            if cnt < k:
-                short = True
-        if short and n > cap:
-            for s in range(n_samples):
-                px = sample_x[r, s]
-                py = sample_y[r, s]
-                t = threshold_sq[r, s]
-                cnt = 0
-                for j in range(off + use, off + n):
-                    dx = kx[j] - px
-                    dy = ky[j] - py
-                    if dx * dx + dy * dy < t:
-                        cnt += 1
-                out[r, s] += cnt
 
 
 def _classify_first_events_loops(

@@ -2,13 +2,15 @@
 
 The sparse backends (``repro.engine.sparse.SparseRoundEngine`` and
 ``repro.runtime.sparse.SparseDistributedEngine``) promise a *tolerance*
-contract against the batched backends — positions, ranges and areas
-within 1e-9, identical convergence round counts and killed-node lists —
-rather than the bitwise contract that ties ``batched`` to ``legacy``
+contract against their references — the centralized ``batched`` engine
+and the message-level ``legacy`` agents: positions, ranges and areas
+within 1e-9, identical convergence round counts and killed-node lists
 (see DESIGN.md "Sparse engine tier").  Lossy distributed runs are the
 sharp edge: the sparse gather must consume the scheduler RNG
 draw-for-draw in the legacy order, so communication counters are
-compared *exactly* there.
+compared *exactly* there.  Loss-free distributed runs are also checked
+against the centralized deployer's trajectory — the paper's claim that
+with a reliable channel the protocol executes Algorithm 1.
 
 The suite also pins the foundation the tier is built on:
 ``SpatialGrid.query_radius_many`` must agree with per-call
@@ -22,16 +24,16 @@ import math
 import numpy as np
 import pytest
 
-from repro.api import Simulation
+from repro.api import Simulation, deploy
 from repro.core.config import LaacadConfig
 from repro.engine import available_engines, make_engine
 from repro.engine.kernels import (
     DENSE_MATRIX_BYTES_ENV,
     KERNEL_THREADS_ENV,
-    pairwise_distance_and_sq,
     pairwise_distance_matrix,
     plan_chunks,
 )
+from repro.engine.jit_kernels import segment_ids
 from repro.engine.sparse import SparseRoundEngine
 from repro.network.neighbors import SpatialGrid
 from repro.network.network import SensorNetwork
@@ -42,13 +44,14 @@ from repro.regions.shapes import (
     unit_square,
 )
 from repro.runtime.engines import (
+    LegacyDistributedEngine,
     available_distributed_engines,
     make_distributed_engine,
 )
 from repro.runtime.failures import FailureInjector
+from repro.runtime.protocol import LaacadAgent
 from repro.runtime.scheduler import SynchronousScheduler
 from repro.obs import metrics
-from repro.runtime.engines import BatchedDistributedEngine
 from repro.runtime.sparse import (
     _GATHER_CHUNK,
     SparseDistributedEngine,
@@ -183,7 +186,7 @@ class TestChunkedKernelPlumbing:
         with pytest.raises(MemoryError, match='engine="sparse"'):
             pairwise_distance_matrix(points)
         with pytest.raises(MemoryError, match="REPRO_DENSE_MATRIX_BYTES"):
-            pairwise_distance_and_sq(points)
+            pairwise_distance_matrix(points)
 
     def test_guard_leaves_small_inputs_alone(self, monkeypatch):
         monkeypatch.setenv(DENSE_MATRIX_BYTES_ENV, str(1 << 20))
@@ -261,7 +264,7 @@ class TestCentralizedSparseEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Distributed: sparse vs batched across the loss model
+# Distributed: sparse vs the legacy agents across the loss model
 # ----------------------------------------------------------------------
 def _run_distributed(
     engine,
@@ -299,19 +302,20 @@ def _run_distributed(
     ).run()
 
 
-def _assert_equivalent(batched, sparse):
-    """The sparse tolerance contract against a batched reference run."""
-    assert sparse.rounds_executed == batched.rounds_executed
-    assert sparse.converged == batched.converged
-    assert sparse.killed_nodes == batched.killed_nodes
-    for a, b in zip(batched.final_positions, sparse.final_positions):
+def _assert_equivalent(legacy, sparse):
+    """The sparse tolerance contract against a legacy reference run."""
+    assert sparse.rounds_executed == legacy.rounds_executed
+    assert sparse.converged == legacy.converged
+    assert sparse.killed_nodes == legacy.killed_nodes
+    for a, b in zip(legacy.final_positions, sparse.final_positions):
         assert math.dist(a, b) <= TOL
-    for a, b in zip(batched.sensing_ranges, sparse.sensing_ranges):
+    for a, b in zip(legacy.sensing_ranges, sparse.sensing_ranges):
         assert abs(a - b) <= TOL
     # The RNG draw-order contract makes message accounting exact, both
     # loss-free (no draws at all) and lossy (draw-for-draw identical).
-    assert sparse.communication == batched.communication
-    for stats_a, stats_b in zip(batched.history, sparse.history):
+    assert sparse.communication == legacy.communication
+    assert len(sparse.history) == len(legacy.history)
+    for stats_a, stats_b in zip(legacy.history, sparse.history):
         a = dataclasses.asdict(stats_a)
         b = dataclasses.asdict(stats_b)
         assert a["messages"] == b["messages"]
@@ -323,45 +327,102 @@ class TestDistributedSparseEquivalence:
     @pytest.mark.parametrize("seed", [1, 7, 23])
     @pytest.mark.parametrize("drop_probability", [0.0, 0.02, 0.15])
     def test_loss_rates_and_seeds(self, seed, drop_probability, kernel_thread_count):
-        batched = _run_distributed(
-            "batched", seed, drop_probability=drop_probability
+        legacy = _run_distributed(
+            "legacy", seed, drop_probability=drop_probability
         )
         sparse = _run_distributed(
             "sparse", seed, drop_probability=drop_probability
         )
         if drop_probability:
             assert sparse.communication.dropped > 0
-        _assert_equivalent(batched, sparse)
+        else:
+            assert sparse.communication.dropped == 0
+        _assert_equivalent(legacy, sparse)
 
     @pytest.mark.parametrize("drop_probability", [0.0, 0.1])
     def test_failure_injection(self, drop_probability):
         failures = {"scheduled": {3: [0, 1], 6: [5]}, "seed": 4}
-        batched = _run_distributed(
-            "batched", 9, drop_probability=drop_probability, failures=failures
+        legacy = _run_distributed(
+            "legacy", 9, drop_probability=drop_probability, failures=failures
         )
         sparse = _run_distributed(
             "sparse", 9, drop_probability=drop_probability, failures=failures
         )
         assert sparse.killed_nodes == [0, 1, 5]
-        _assert_equivalent(batched, sparse)
+        _assert_equivalent(legacy, sparse)
 
+    @pytest.mark.parametrize("drop_probability", [0.0, 0.05])
+    def test_random_failures(self, drop_probability):
+        failures = {"random_failure_rate": 0.01, "seed": 2}
+        legacy = _run_distributed(
+            "legacy", 13, drop_probability=drop_probability, failures=failures
+        )
+        sparse = _run_distributed(
+            "sparse", 13, drop_probability=drop_probability, failures=failures
+        )
+        _assert_equivalent(legacy, sparse)
+
+    @pytest.mark.parametrize("drop_probability", [0.0, 0.08])
     @pytest.mark.parametrize(
         "region_factory", [l_shaped_region, figure8_region_two]
     )
-    def test_obstacle_regions(self, region_factory):
-        batched = _run_distributed(
-            "batched", 3, drop_probability=0.08, region=region_factory(), count=18
+    def test_obstacle_regions(self, region_factory, drop_probability):
+        # Holes exercise the containment kernel's hole branch and the
+        # circle check near obstacle boundaries.
+        legacy = _run_distributed(
+            "legacy", 3, drop_probability=drop_probability,
+            region=region_factory(), count=18,
         )
         sparse = _run_distributed(
-            "sparse", 3, drop_probability=0.08, region=region_factory(), count=18
+            "sparse", 3, drop_probability=drop_probability,
+            region=region_factory(), count=18,
         )
-        _assert_equivalent(batched, sparse)
+        _assert_equivalent(legacy, sparse)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_coverage_orders(self, k):
-        batched = _run_distributed("batched", 31 + k, drop_probability=0.05, k=k)
+        legacy = _run_distributed("legacy", 31 + k, drop_probability=0.05, k=k)
         sparse = _run_distributed("sparse", 31 + k, drop_probability=0.05, k=k)
-        _assert_equivalent(batched, sparse)
+        _assert_equivalent(legacy, sparse)
+
+    @pytest.mark.parametrize("drop_probability", [0.0, 0.1])
+    def test_fractional_alpha_and_round_cap(self, drop_probability):
+        # A run that hits the round cap exercises the result() refresh
+        # round, which also consumes loss draws — in both backends.
+        legacy = _run_distributed(
+            "legacy", 17, drop_probability=drop_probability, alpha=0.5, max_rounds=4
+        )
+        sparse = _run_distributed(
+            "sparse", 17, drop_probability=drop_probability, alpha=0.5, max_rounds=4
+        )
+        assert not sparse.converged
+        _assert_equivalent(legacy, sparse)
+
+
+class TestCentralizedAgreement:
+    """Loss-free distributed == centralized trajectory (both backends)."""
+
+    @pytest.mark.parametrize("engine", ["legacy", "sparse"])
+    def test_matches_centralized_deployer(self, engine):
+        region = unit_square()
+        positions = region.random_points(14, rng=np.random.default_rng(8))
+        config = LaacadConfig(k=2, alpha=1.0, epsilon=2e-3, max_rounds=30)
+
+        central = deploy(region, positions, config, comm_range=0.35)
+
+        network = SensorNetwork(region, positions, comm_range=0.35)
+        distributed = Simulation(
+            network=network,
+            config=config.with_engine(engine),
+            kind="distributed",
+        ).run()
+
+        assert distributed.rounds_executed == central.rounds_executed
+        assert distributed.max_sensing_range == pytest.approx(
+            central.max_sensing_range, rel=1e-6
+        )
+        for a, b in zip(central.final_positions, distributed.final_positions):
+            assert math.dist(a, b) < 1e-6
 
 
 class TestChunkedLossyGather:
@@ -396,20 +457,22 @@ class TestChunkedLossyGather:
             )
             return sim, sim.run()
 
-        batched_sim, batched = run("batched")
-        assert not fallback_queries
+        legacy_sim, legacy = run("legacy")
+        # The legacy agents query the grid per ring; only the sparse
+        # engine's replay fallback is counted below.
+        del fallback_queries[:]
         sparse_sim, sparse = run("sparse")
         assert len(sparse_sim.network.alive_nodes()) > 2 * _GATHER_CHUNK
         assert fallback_queries
-        assert sparse.rounds_executed == batched.rounds_executed == 3
+        assert sparse.rounds_executed == legacy.rounds_executed == 3
         assert sparse.communication.dropped > 0
-        _assert_equivalent(batched, sparse)
+        _assert_equivalent(legacy, sparse)
         assert dataclasses.asdict(sparse_sim.deployer.scheduler.stats) == (
-            dataclasses.asdict(batched_sim.deployer.scheduler.stats)
+            dataclasses.asdict(legacy_sim.deployer.scheduler.stats)
         )
         assert (
             sparse_sim.deployer.scheduler._rng.bit_generator.state
-            == batched_sim.deployer.scheduler._rng.bit_generator.state
+            == legacy_sim.deployer.scheduler._rng.bit_generator.state
         )
 
 
@@ -513,37 +576,116 @@ class TestArcCloserCounts:
         assert counts.shape == (3, 72) and not counts.any()
 
 
+def _count_calls(monkeypatch, cls, name="_circle_dominated"):
+    """Count the calls of ``cls.name`` (still executing it)."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
 class TestLossyCircleChecks:
     """Every circle check the walk makes is counted under one path."""
 
     def test_labelled_counts_sum_to_the_walks_checks(self, monkeypatch):
-        calls = []
-        circle_dominated = BatchedDistributedEngine._circle_dominated
-
-        def counting(engine, *args, **kwargs):
-            calls.append(engine.name)
-            return circle_dominated(engine, *args, **kwargs)
-
-        monkeypatch.setattr(BatchedDistributedEngine, "_circle_dominated", counting)
+        agent_checks = _count_calls(monkeypatch, LaacadAgent)
+        replay_checks = _count_calls(monkeypatch, SparseDistributedEngine)
         checks = metrics.counter(
             "repro_lossy_circle_checks_total", labelnames=("path",)
         )
         paths = ("vacuous", "open", "slack", "exact", "replay")
         before = {path: checks.labels(path).value for path in paths}
-        batched = _run_distributed(
-            "batched", 11, drop_probability=0.5, count=40, comm_range=0.2
+        legacy = _run_distributed(
+            "legacy", 11, drop_probability=0.5, count=40, comm_range=0.2
         )
-        walk_checks = len(calls)
-        del calls[:]
         sparse = _run_distributed(
             "sparse", 11, drop_probability=0.5, count=40, comm_range=0.2
         )
         delta = {path: checks.labels(path).value - before[path] for path in paths}
-        _assert_equivalent(batched, sparse)
-        assert sum(delta.values()) == walk_checks
+        _assert_equivalent(legacy, sparse)
+        assert sum(delta.values()) == len(agent_checks)
         # Only replayed walks still call the per-node check.
-        assert delta["replay"] == len(calls) > 0
+        assert delta["replay"] == len(replay_checks) > 0
         assert delta["exact"] > 0 and delta["open"] > 0 and delta["slack"] > 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_loss_free_multi_chunk_checks_match_legacy(self, monkeypatch, k):
+        # Over three 64-row arc chunks, on a region with holes: every
+        # loss-free decision is the walk's own closer test, so the
+        # delivered sets — hence the counters — are exact.
+        replay_checks = _count_calls(monkeypatch, SparseDistributedEngine)
+        legacy = _run_distributed(
+            "legacy", 19, region=figure8_region_two(), count=200,
+            comm_range=0.12, k=k, max_rounds=2,
+        )
+        sparse = _run_distributed(
+            "sparse", 19, region=figure8_region_two(), count=200,
+            comm_range=0.12, k=k, max_rounds=2,
+        )
+        assert len(sparse.final_positions) > 3 * _GATHER_CHUNK
+        assert sparse.communication.dropped == 0
+        assert not replay_checks
+        _assert_equivalent(legacy, sparse)
+
+
+class TestLossFreeCircleCheck:
+    """The chunked arc check equals the walk's per-node check, node by node."""
+
+    @staticmethod
+    def _sites(kind, region, rng):
+        if kind == "uniform":
+            return region.random_points(150, rng=rng)
+        # A lattice commensurate with the radii: samples land exactly on
+        # bisectors and on other sites.
+        spacing = 1.0 / 16.0
+        return [
+            (spacing * (i + 0.5), spacing * (j + 0.5))
+            for i in range(16)
+            for j in range(16)
+            if region.contains((spacing * (i + 0.5), spacing * (j + 0.5)))
+        ]
+
+    @pytest.mark.parametrize("kind", ["uniform", "lattice"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "region_factory", [unit_square, l_shaped_region, figure8_region_two]
+    )
+    def test_matches_per_node_check(self, region_factory, k, kind):
+        region = region_factory()
+        rng = np.random.default_rng(k)
+        sites = self._sites(kind, region, rng)
+        positions = np.asarray(sites)
+        engine = SparseDistributedEngine(
+            SensorNetwork(region, sites, comm_range=0.1),
+            LaacadConfig(k=k),
+            SynchronousScheduler(),
+        )
+        grid = SpatialGrid(positions, cell_size=0.1)
+        verdicts = []
+        for radius in (1.0 / 32.0, 1.0 / 16.0, 0.1):
+            cand, indptr = grid.query_radius_many(positions, 2.0 * radius)
+            owner = segment_ids(np.diff(indptr), cand.shape[0])
+            # Drop self and a random fifth of the rest, so both verdicts
+            # occur at every radius.
+            keep = (cand != owner) & (rng.random(cand.shape[0]) < 0.8)
+            cand, owner = cand[keep], owner[keep]
+            dominated = engine._lossfree_dominated(
+                positions[:, 0], positions[:, 1], owner,
+                positions[cand, 0], positions[cand, 1], radius,
+            )
+            for i, site in enumerate(sites):
+                expected = engine._circle_dominated(
+                    site, radius, positions[cand[owner == i]]
+                )
+                assert dominated[i] == expected
+            verdicts.extend(dominated.tolist())
+        assert len(sites) > 2 * _GATHER_CHUNK
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestCircleContainmentBatch:
@@ -739,7 +881,13 @@ class TestKernelThreadDeterminism:
 class TestSparseSelection:
     def test_both_registries_list_sparse(self):
         assert "sparse" in available_engines()
-        assert "sparse" in available_distributed_engines()
+        assert available_distributed_engines() == ["legacy", "sparse"]
+
+    def test_unknown_engine_rejected(self, square):
+        network = SensorNetwork(square, [(0.5, 0.5)], comm_range=0.3)
+        scheduler = SynchronousScheduler()
+        with pytest.raises(ValueError, match="unknown distributed round engine"):
+            make_distributed_engine("warp-drive", network, LaacadConfig(), scheduler)
 
     def test_factories_build_sparse_backends(self):
         region = unit_square()
@@ -757,6 +905,26 @@ class TestSparseSelection:
             SparseDistributedEngine,
         )
 
+    @pytest.mark.parametrize(
+        "engine, expected",
+        [
+            ("legacy", LegacyDistributedEngine),
+            # The shared default: the distributed pipeline runs sparse.
+            ("batched", SparseDistributedEngine),
+        ],
+    )
+    def test_deployer_uses_configured_engine(self, engine, expected):
+        region = unit_square()
+        network = SensorNetwork(
+            region, [(0.2, 0.2), (0.8, 0.8)], comm_range=0.4
+        )
+        sim = Simulation(
+            network=network,
+            config=LaacadConfig(k=1, engine=engine),
+            kind="distributed",
+        )
+        assert type(sim.deployer.protocol) is expected
+
     def test_simulation_routes_to_sparse_distributed_engine(self):
         region = unit_square()
         network = SensorNetwork(
@@ -768,3 +936,19 @@ class TestSparseSelection:
             kind="distributed",
         )
         assert isinstance(sim.deployer.protocol, SparseDistributedEngine)
+
+    def test_default_distributed_run_is_sparse(self, square):
+        network = SensorNetwork.from_random(
+            square, 6, comm_range=0.4, rng=np.random.default_rng(0)
+        )
+        sim = Simulation(
+            network=network, config=LaacadConfig(k=1), kind="distributed"
+        )
+        protocol = sim.deployer.protocol
+        assert isinstance(protocol, SparseDistributedEngine)
+        assert not any(
+            "batched" in cls.__name__.lower() for cls in type(protocol).__mro__
+        )
+        # The deprecated DistributedLaacadRunner surface: same keys,
+        # inert agents, materialised lazily.
+        assert set(sim.deployer.agents) == set(range(6))

@@ -6,8 +6,7 @@ the contract from DESIGN.md "Kernel seams":
 
 * the plain-loop oracles in ``kernel_oracles`` agree with the seams —
   bitwise for half-plane values, first events, clip vertices and ring
-  compression, decision-exactly for closer counts — at every
-  ``REPRO_KERNEL_THREADS`` setting, degenerate inputs included
+  compression — at every ``REPRO_KERNEL_THREADS`` setting, degenerate inputs included
   (zero-crossing pass, all-out first event, rings collapsing below 3
   vertices, non-separated competitors);
 * the kernel thread pool's chunk-ordered reduction and range split;
@@ -23,7 +22,6 @@ import pytest
 from kernel_oracles import (
     _classify_first_events_loops,
     _clip_crossing_loops,
-    _closer_counts_loops,
     _compress_rings_loops,
     _halfplane_minmax_loops,
 )
@@ -31,7 +29,6 @@ from kernel_oracles import (
 from repro.engine.jit_kernels import (
     classify_first_events,
     clip_crossing_pieces,
-    closer_counts,
     compress_rings,
     halfplane_minmax,
     kernel_tier,
@@ -39,7 +36,6 @@ from repro.engine.jit_kernels import (
     segment_ids,
 )
 from repro.engine.kernels import (
-    CHUNK_BYTES_ENV,
     KERNEL_THREADS_ENV,
     kernel_threads,
     plan_chunks,
@@ -69,18 +65,6 @@ def _ragged_pieces(rng, n_pieces=40, max_verts=9):
     cb = rng.uniform(-2.0, 2.0, size=n_pieces)
     cc = rng.uniform(-2.0, 2.0, size=n_pieces)
     return vx, vy, starts, counts, ca, cb, cc
-
-
-def _counting_problem(rng, n_rows=25, n_samples=16, max_known=30):
-    counts = rng.integers(0, max_known, size=n_rows).astype(np.int64)
-    offsets = (np.cumsum(counts) - counts).astype(np.int64)
-    total = int(counts.sum())
-    kx = rng.uniform(0.0, 1.0, size=total)
-    ky = rng.uniform(0.0, 1.0, size=total)
-    sample_x = rng.uniform(0.0, 1.0, size=(n_rows, n_samples))
-    sample_y = rng.uniform(0.0, 1.0, size=(n_rows, n_samples))
-    threshold_sq = rng.uniform(0.0, 0.05, size=(n_rows, n_samples))
-    return kx, ky, offsets, counts, sample_x, sample_y, threshold_sq
 
 
 def _classify_problem(rng, n_pieces=60, max_verts=8, max_blk=6):
@@ -205,7 +189,7 @@ def test_kernel_tier_is_numpy():
 
 
 # ----------------------------------------------------------------------
-# Half-plane extrema and closer counts
+# Half-plane extrema
 # ----------------------------------------------------------------------
 class TestLoopFormOracles:
     @THREAD_COUNTS
@@ -222,45 +206,6 @@ class TestLoopFormOracles:
         np.testing.assert_array_equal(pmax, lmax)
         np.testing.assert_array_equal(pmin, lmin)
 
-    @THREAD_COUNTS
-    @pytest.mark.parametrize("cap", [1, 4, 16, 1000])
-    def test_closer_counts_decisions_match_loops(
-        self, rng, cap, threads, monkeypatch
-    ):
-        monkeypatch.setenv(KERNEL_THREADS_ENV, str(threads))
-        # A few-KiB budget: the panel pass splits into many chunks, which
-        # the pool runs concurrently when threads > 1.
-        monkeypatch.setenv(CHUNK_BYTES_ENV, "4096")
-        k = 2
-        kx, ky, offsets, counts, sx, sy, tsq = _counting_problem(rng)
-        out_np = closer_counts(kx, ky, offsets, counts, sx, sy, tsq, cap, k)
-        out_loops = np.zeros_like(out_np)
-        _closer_counts_loops(
-            kx, ky, offsets, counts, sx, sy, tsq, cap, k, out_loops
-        )
-        # Counts themselves are only decision-equivalent across cap
-        # values, but for the *same* cap the two-stage schedules agree
-        # exactly, so the matrices must be equal.
-        np.testing.assert_array_equal(out_np, out_loops)
-
-    @pytest.mark.parametrize("cap", [1, 3, 7, 64])
-    def test_closer_counts_decisions_match_brute_force(self, rng, cap):
-        k = 2
-        kx, ky, offsets, counts, sx, sy, tsq = _counting_problem(rng)
-        out = closer_counts(kx, ky, offsets, counts, sx, sy, tsq, cap, k)
-        n_rows, n_samples = sx.shape
-        full = np.zeros((n_rows, n_samples), dtype=np.int64)
-        for r in range(n_rows):
-            for s in range(n_samples):
-                for j in range(offsets[r], offsets[r] + counts[r]):
-                    dx = kx[j] - sx[r, s]
-                    dy = ky[j] - sy[r, s]
-                    if dx * dx + dy * dy < tsq[r, s]:
-                        full[r, s] += 1
-        # Decision contract: ``count >= k`` agrees everywhere with the
-        # exhaustive count, for any stage-1 budget.
-        np.testing.assert_array_equal(out >= k, full >= k)
-
     def test_empty_inputs(self):
         empty_i = np.zeros(0, dtype=np.int64)
         empty_f = np.zeros(0)
@@ -268,11 +213,6 @@ class TestLoopFormOracles:
             empty_f, empty_f, empty_i, empty_i, empty_f, empty_f, empty_f
         )
         assert pmax.shape == (0,) and pmin.shape == (0,)
-        out = closer_counts(
-            empty_f, empty_f, empty_i, empty_i,
-            np.zeros((0, 8)), np.zeros((0, 8)), np.zeros((0, 8)), 4, 2,
-        )
-        assert out.shape == (0, 8)
 
 
 # ----------------------------------------------------------------------

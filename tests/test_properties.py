@@ -4,7 +4,7 @@ These target the data structures and invariants everything else rests on:
 Welzl circles, convex hulls, half-plane clipping, the dominating-region
 engine (checked against the raster oracle and against the k * |A| tiling
 identity), and the coverage checker.  The last class fuzzes the sparse
-lossy gather against the batched walk over whole multi-round runs.
+lossy gather against the legacy agents over whole multi-round runs.
 """
 
 import dataclasses
@@ -225,7 +225,7 @@ class TestCoverageProperties:
 
 
 # ----------------------------------------------------------------------
-# Lossy distributed gather: sparse lockstep walk vs batched per-node walk
+# Lossy distributed gather: sparse lockstep walk vs the legacy agents
 # ----------------------------------------------------------------------
 _REGIONS = {
     "square": unit_square,
@@ -280,23 +280,23 @@ def _check_counts():
 
 
 def _assert_lossy_equivalent(*args):
-    """Sparse vs batched on one input; returns the sparse run's check paths."""
-    batched_sim, batched = _lossy_run("batched", *args)
+    """Sparse vs legacy on one input; returns the sparse run's check paths."""
+    legacy_sim, legacy = _lossy_run("legacy", *args)
     before = _check_counts()
     sparse_sim, sparse = _lossy_run("sparse", *args)
     after = _check_counts()
-    batched_scheduler = batched_sim.deployer.scheduler
+    legacy_scheduler = legacy_sim.deployer.scheduler
     sparse_scheduler = sparse_sim.deployer.scheduler
     assert dataclasses.asdict(sparse_scheduler.stats) == dataclasses.asdict(
-        batched_scheduler.stats
+        legacy_scheduler.stats
     )
     assert _same_state(
         sparse_scheduler.rng.bit_generator.state,
-        batched_scheduler.rng.bit_generator.state,
+        legacy_scheduler.rng.bit_generator.state,
     )
-    assert sparse.rounds_executed == batched.rounds_executed
-    assert sparse.killed_nodes == batched.killed_nodes
-    for a, b in zip(batched.final_positions, sparse.final_positions):
+    assert sparse.rounds_executed == legacy.rounds_executed
+    assert sparse.killed_nodes == legacy.killed_nodes
+    for a, b in zip(legacy.final_positions, sparse.final_positions):
         assert math.dist(a, b) <= 1e-9
     return {path: after[path] - before[path] for path in _CHECK_PATHS}
 
@@ -315,7 +315,7 @@ class TestLossyGatherProperties:
         region=st.sampled_from(sorted(_REGIONS)),
         failures=st.booleans(),
     )
-    def test_sparse_matches_batched_over_rounds(
+    def test_sparse_matches_legacy_over_rounds(
         self, seed, drop_probability, k, ring_granularity, region, failures
     ):
         paths = _assert_lossy_equivalent(
