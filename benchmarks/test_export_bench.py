@@ -56,7 +56,9 @@ def test_sparse_centralized_cells_time_fresh_engines(monkeypatch):
     compute_round = SparseRoundEngine.compute_round
 
     def counting(engine, *args, **kwargs):
-        engines.append(id(engine))
+        # Keep the engine itself: an id() alone can be reused once the
+        # previous repeat's engine is freed.
+        engines.append(engine)
         return compute_round(engine, *args, **kwargs)
 
     monkeypatch.setattr(SparseRoundEngine, "compute_round", counting)
@@ -64,7 +66,7 @@ def test_sparse_centralized_cells_time_fresh_engines(monkeypatch):
     assert set(seconds) == {"200"}
     # One full round per repeat, each on its own engine.
     assert len(engines) == export_bench._sparse_repeats(200)
-    assert len(set(engines)) == len(engines)
+    assert len({id(engine) for engine in engines}) == len(engines)
 
 
 def _current_from(baseline):

@@ -421,3 +421,34 @@ def segment_ids(counts: np.ndarray, total: Optional[int] = None) -> np.ndarray:
         return np.zeros(total, dtype=np.int64)
     bumps = np.bincount(ends, minlength=total)
     return np.cumsum(bumps)
+
+
+def segment_argsort(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Stable argsort of ``keys`` within consecutive segments of ``counts``.
+
+    Returns exactly ``np.lexsort((keys, segment_ids(counts)))`` for
+    NaN-free keys, without the global two-key sort: segments are grouped
+    into width classes by the bit length of their count, and each class
+    is one inf-padded ``(segments, width)`` panel sorted row by row with
+    ``np.argsort(axis=1, kind="stable")``.  A class's counts all share
+    one bit length, so its panel pads to less than twice its entries.
+    Stability keeps a real ``inf`` key ahead of the padding after it.
+    """
+    total = int(keys.shape[0])
+    out = np.empty(total, dtype=np.int64)
+    if total == 0:
+        return out
+    starts = np.cumsum(counts) - counts
+    bits = np.frexp(counts.astype(np.float64))[1]
+    for bit in np.unique(bits[counts > 0]):
+        segs = np.nonzero(bits == bit)[0]
+        seg_start = starts[segs]
+        seg_count = counts[segs]
+        flat = ragged_indices(seg_start, seg_count)
+        valid = np.arange(int(seg_count.max())) < seg_count[:, None]
+        panel = np.full(valid.shape, np.inf)
+        panel[valid] = keys[flat]
+        order = np.argsort(panel, axis=1, kind="stable")
+        order += seg_start[:, None]
+        out[flat] = order[valid]
+    return out

@@ -64,7 +64,7 @@ from repro.core.config import LaacadConfig
 from repro.engine.arrays import NodeArrayState
 from repro.engine.base import EngineRound, register_engine, summarize_regions
 from repro.engine.batch import BatchedRoundEngine
-from repro.engine.jit_kernels import ragged_indices, segment_ids
+from repro.engine.jit_kernels import ragged_indices, segment_argsort, segment_ids
 from repro.engine.kernels import chunk_budget_bytes
 from repro.engine.pieces import (
     EmittedPieces,
@@ -100,16 +100,18 @@ _ROWS_REUSED = _metrics.counter(
 )
 
 
-def _nearest_first(px, py, centers, cand, owners):
+def _nearest_first(px, py, centers, cand, owners, counts):
     """``cand`` and its distances, nearest-first within each owner.
 
-    ``owners[i]`` indexes ``centers`` and is ascending, so it is its own
-    sorted image; ties keep the grid's order (the sweep's competitor
-    order).  A function so the sort's temporaries die on return.
+    ``owners`` are the ascending segment ids of ``counts`` (one segment
+    per entry of ``centers``); each row is sorted on its own by
+    :func:`segment_argsort`, and ties keep the grid's order (the sweep's
+    competitor order).  A function so the sort's temporaries die on
+    return.
     """
     dx = px[cand] - px[centers][owners]
     dy = py[cand] - py[centers][owners]
-    order = np.lexsort((dx * dx + dy * dy, owners))
+    order = segment_argsort(dx * dx + dy * dy, counts)
     return cand[order], np.hypot(dx, dy)[order]
 
 
@@ -252,11 +254,15 @@ class SparseRoundEngine(BatchedRoundEngine):
         # The scalar schedule (initial_prefilter_radius, then doubling)
         # floors the start radius at 5% of the diameter — a constant
         # radius that at high density sweeps in O(N) competitors per
-        # node and turns the whole pass quadratic.  Cap the floor at a
-        # few grid cells (~ mean spacing) so the start population stays
-        # O(1) at every N; a start that proves too small only costs
-        # doubling iterations, never changes the Lemma-1 fixed point.
-        floor = max(min(diameter * 0.05, 4.0 * cell), EPS * 10)
+        # node and turns the whole pass quadratic.  Cap the floor at two
+        # grid cells (~ twice the mean spacing, ~12 sites per disk) so
+        # the start population stays O(1) at every N.  The cap binds only
+        # above N = 1600.  A start that proves too small only costs
+        # doubling iterations, never changes the Lemma-1 fixed point;
+        # two cells reads the fewest candidates before re-clips at a
+        # doubled rho start to dominate (DESIGN.md "Candidate pairs from
+        # the spatial grid" has the sweep).
+        floor = max(min(diameter * 0.05, 2.0 * cell), EPS * 10)
         max_needed = diameter * 2.0 + 1.0
 
         emit = PieceAccumulator()
@@ -279,7 +285,9 @@ class SparseRoundEngine(BatchedRoundEngine):
                 counts_all = np.diff(cand_indptr)
                 _GRID_CANDIDATES.inc(cand.shape[0])
                 owners = segment_ids(counts_all, cand.shape[0])
-                cand, dist = _nearest_first(px, py, pending, cand, owners)
+                cand, dist = _nearest_first(
+                    px, py, pending, cand, owners, counts_all
+                )
 
             unknown = ~kth_known[pending]
             if unknown.any():

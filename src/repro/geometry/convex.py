@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 from repro.geometry.predicates import Orientation, orientation
@@ -29,15 +30,20 @@ def convex_hull(points: Sequence[Point], eps: float = EPS) -> List[Point]:
                 if turn < 0.0:
                     hull.pop()
                     continue
-                if turn <= eps:
+                span = sub(p, anchor)
+                # The cross product is the middle vertex's distance from
+                # the anchor-p line times the span, so below unit span
+                # the threshold scales with the span: a tiny span (e.g.
+                # a denormal x breaking the sort tie of a vertical
+                # triple) gives a tiny cross product even for a vertex
+                # far off the line.
+                if turn <= eps * min(1.0, math.hypot(span[0], span[1])):
                     # Near-collinear: drop the middle vertex only when
                     # it lies between its neighbours.  A tiny cross
                     # product can also come from a genuine left turn at
-                    # degenerate coordinate scales (e.g. a denormal x
-                    # breaking the sort tie of a vertical triple), where
-                    # the "middle" vertex is an extreme point that must
-                    # stay on the hull.
-                    span = sub(p, anchor)
+                    # degenerate coordinate scales, where the "middle"
+                    # vertex is an extreme point that must stay on the
+                    # hull.
                     span_sq = span[0] * span[0] + span[1] * span[1]
                     offset = sub(middle, anchor)
                     projection = offset[0] * span[0] + offset[1] * span[1]

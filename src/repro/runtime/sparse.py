@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.jit_kernels import segment_ids
+from repro.engine.jit_kernels import segment_argsort, segment_ids
 from repro.engine.kernels import BatchedRegionContainment
 from repro.engine.pieces import LazyRegions, materialize_pieces
 from repro.engine.sparse_kernels import clip_cells_batch, mec_batch
@@ -916,13 +916,13 @@ class SparseDistributedEngine(DistributedRoundEngine):
         sx = px[alive_rows]
         sy = py[alive_rows]
         with _trace.span("clip"):
-            owner = segment_ids(np.diff(known_indptr), known_ids.shape[0])
+            known_count = np.diff(known_indptr)
+            owner = segment_ids(known_count, known_ids.shape[0])
             dx = px[known_ids] - sx[owner]
             dy = py[known_ids] - sy[owner]
-            dist_sq = dx * dx + dy * dy
             # The sweep's competitor order: nearest first, stable on ties
             # (base order = delivery order, as in the scalar sweep).
-            order = np.lexsort((dist_sq, owner))
+            order = segment_argsort(dx * dx + dy * dy, known_count)
             comp_ids = known_ids[order]
             vx, vy, piece_indptr, piece_owner = clip_cells_batch(
                 np.column_stack((sx, sy)),
@@ -935,8 +935,6 @@ class SparseDistributedEngine(DistributedRoundEngine):
 
         # Region polygons (read by the deployer's result() and the
         # compat agent surface) are materialised lazily on first access.
-        known_count = np.diff(known_indptr)
-
         def build_regions() -> Dict[int, DominatingRegion]:
             pieces_per_row = materialize_pieces(
                 vx, vy, piece_indptr, piece_owner, n_alive

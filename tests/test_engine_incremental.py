@@ -197,15 +197,27 @@ REGIONS = {"square": unit_square, "obstacle": figure8_region_one}
 
 
 class TestDeploymentsMatchFreshEngine:
+    # N = 1800 puts the start radius on its grid-cell cap (2 cells < 5% of
+    # the diameter iff N > 1600); three rounds there already splice.
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("region", sorted(REGIONS))
-    def test_every_round_bitwise_equal(self, k, region):
+    @pytest.mark.parametrize(
+        "region,count,max_rounds",
+        [
+            pytest.param("obstacle", 120, 25, id="obstacle"),
+            pytest.param("square", 120, 25, id="square"),
+            pytest.param("square", 1800, 3, id="square_n1800"),
+        ],
+    )
+    def test_every_round_bitwise_equal(self, k, region, count, max_rounds):
         area = REGIONS[region]()
         sim = Simulation(
-            network=_network(area, 120, seed=k),
-            config=LaacadConfig(k=k, engine="sparse", epsilon=0.01, max_rounds=25),
+            network=_network(area, count, seed=k),
+            config=LaacadConfig(
+                k=k, engine="sparse", epsilon=0.01, max_rounds=max_rounds
+            ),
         )
         sim, spliced = _deploy_checked(sim)
+        assert sim.state.rounds_executed >= 3
         assert spliced >= 1
         # Final sensing ranges come from the (cached) engine regions.
         fresh = SparseRoundEngine(sim.network, sim.config).compute_regions()[0]

@@ -242,14 +242,20 @@ class TestCentralizedSparseEquivalence:
         for node_id, area in areas_b.items():
             assert abs(area - areas_s[node_id]) <= TOL
 
-    def test_full_deployment_same_convergence(self):
+    # N = 1800 puts the sparse engine's start radius on its grid-cell
+    # cap (2 cells < 5% of the diameter iff N > 1600); its epsilon lets
+    # the deployment converge in a few rounds.
+    @pytest.mark.parametrize(
+        "count,epsilon", [(30, 2e-3), (1800, 1e-2)], ids=["n30", "n1800"]
+    )
+    def test_full_deployment_same_convergence(self, count, epsilon):
         region = unit_square()
-        positions = region.random_points(30, rng=np.random.default_rng(21))
+        positions = region.random_points(count, rng=np.random.default_rng(21))
 
         def run(engine_name):
             network = SensorNetwork(region, positions, comm_range=0.3)
             config = LaacadConfig(
-                k=2, epsilon=2e-3, max_rounds=15, engine=engine_name
+                k=2, epsilon=epsilon, max_rounds=15, engine=engine_name
             )
             return Simulation(network=network, config=config).run()
 

@@ -12,7 +12,9 @@ the contract from DESIGN.md "Kernel seams":
 * the kernel thread pool's chunk-ordered reduction and range split;
 * :class:`repro.engine.pieces.PieceAccumulator` reproduces the historic
   owner-then-discovery piece order of the ``_stash_pieces`` loop it
-  replaced.
+  replaced;
+* ``segment_argsort`` is element for element the global
+  ``np.lexsort((keys, segment_ids))`` it replaces.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.engine.jit_kernels import (
     halfplane_minmax,
     kernel_tier,
     ragged_indices,
+    segment_argsort,
     segment_ids,
 )
 from repro.engine.kernels import (
@@ -43,7 +46,9 @@ from repro.engine.kernels import (
     split_ranges,
 )
 from repro.engine.pieces import PieceAccumulator
+from repro.engine.sparse import _nearest_first
 from repro.geometry.primitives import EPS as GEOM_EPS
+from repro.network.neighbors import SpatialGrid
 
 #: The worker counts every seam test sweeps: serial (the bitwise-anchored
 #: path), an even split, and a prime that leaves a ragged tail range.
@@ -575,3 +580,72 @@ class TestRaggedPrimitives:
         np.testing.assert_array_equal(
             segment_ids(counts, int(counts.sum())), expected
         )
+
+
+def _lexsort_reference(keys, counts):
+    return np.lexsort((keys, segment_ids(counts, int(keys.shape[0]))))
+
+
+class TestSegmentArgsort:
+    """``segment_argsort`` is exactly the two-key ``np.lexsort``."""
+
+    def _check(self, keys, counts):
+        keys = np.asarray(keys, dtype=np.float64)
+        counts = np.asarray(counts, dtype=np.int64)
+        got = segment_argsort(keys, counts)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _lexsort_reference(keys, counts))
+
+    def test_random_segments(self, rng):
+        counts = rng.integers(0, 70, size=200)
+        self._check(rng.random(int(counts.sum())), counts)
+
+    def test_heavy_key_ties(self, rng):
+        counts = rng.integers(1, 40, size=100)
+        keys = np.round(rng.random(int(counts.sum())) * 3.0) / 3.0
+        self._check(keys, counts)
+
+    def test_infinite_keys_stay_ahead_of_the_padding(self, rng):
+        counts = np.array([5, 7, 6, 3])
+        keys = rng.random(int(counts.sum()))
+        keys[[1, 2, 9, 20]] = np.inf
+        self._check(keys, counts)
+
+    @pytest.mark.parametrize("where", ["start", "middle", "end"])
+    def test_empty_segments(self, rng, where):
+        counts = rng.integers(1, 20, size=12)
+        at = {"start": [0, 1], "middle": [5, 6, 8], "end": [10, 11]}[where]
+        counts[at] = 0
+        self._check(rng.random(int(counts.sum())), counts)
+
+    def test_zero_segments(self):
+        self._check(np.zeros(0), np.zeros(0, dtype=np.int64))
+
+    def test_all_empty_segments(self):
+        self._check(np.zeros(0), np.zeros(4, dtype=np.int64))
+
+    def test_all_single_element_segments(self, rng):
+        self._check(rng.random(50), np.ones(50, dtype=np.int64))
+
+    def test_one_segment_much_longer_than_the_rest(self, rng):
+        counts = rng.integers(2, 5, size=40)
+        counts[17] = 1000 * int(counts.max())
+        keys = np.round(rng.random(int(counts.sum())) * 50.0)
+        self._check(keys, counts)
+
+    def test_nearest_first_on_a_query_panel(self, rng):
+        points = rng.random((400, 2))
+        px = np.ascontiguousarray(points[:, 0])
+        py = np.ascontiguousarray(points[:, 1])
+        centers = np.arange(0, 400, 3, dtype=np.int64)
+        grid = SpatialGrid(points, cell_size=0.05)
+        radii = rng.uniform(0.02, 0.2, size=centers.size)
+        cand, indptr = grid.query_radius_many(points[centers], radii)
+        counts = np.diff(indptr)
+        owners = segment_ids(counts, cand.shape[0])
+        dx = px[cand] - px[centers][owners]
+        dy = py[cand] - py[centers][owners]
+        order = np.lexsort((dx * dx + dy * dy, owners))
+        got_cand, got_dist = _nearest_first(px, py, centers, cand, owners, counts)
+        np.testing.assert_array_equal(got_cand, cand[order])
+        np.testing.assert_array_equal(got_dist, np.hypot(dx, dy)[order])
