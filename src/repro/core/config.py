@@ -39,20 +39,19 @@ class LaacadConfig:
             displacements below ``epsilon`` required before declaring
             convergence; 1 reproduces the paper's stopping rule.
         engine: which round-execution backend drives the deployment:
-            ``"batched"`` (the array-native centralized engine in
-            ``repro.engine``), ``"legacy"`` (the original per-node
-            scalar paths), or ``"sparse"`` (grid-bucketed candidate
-            pairs and chunked kernels, never materialising an N×N
-            matrix — the tier for N in the tens of thousands).
-            ``legacy`` and ``batched`` are bitwise identical; ``sparse``
-            is held to a 1e-9 tolerance contract with identical round
-            counts and exact communication counters (see DESIGN.md,
-            "The sparse engine tier").  The distributed pipeline runs
-            ``batched`` as ``sparse``: its dense round-level backend
-            was retired because the sparse one was faster at every
-            measured size, so the shared default keeps serving both
-            pipelines.  Orthogonal to ``use_localized``, which selects
-            how each individual region is computed.
+            ``"sparse"`` (the default: grid-bucketed candidate pairs
+            and chunked kernels, never materialising an N×N matrix,
+            and one whole-network clip for small N), ``"legacy"`` (the
+            original per-node scalar paths), or ``"batched"`` (the
+            dense array-native centralized engine).  ``legacy`` and
+            ``batched`` are bitwise identical; ``sparse`` is held to a
+            1e-9 tolerance contract with identical round counts and
+            exact communication counters (see DESIGN.md, "The sparse
+            engine tier").  The distributed pipeline runs ``batched``
+            as ``sparse``: its dense round-level backend was retired
+            because the sparse one was faster at every measured size.
+            Orthogonal to ``use_localized``, which selects how each
+            individual region is computed.
     """
 
     k: int = 1
@@ -67,7 +66,7 @@ class LaacadConfig:
     seed: Optional[int] = 0
     record_positions: bool = False
     convergence_patience: int = 1
-    engine: str = "batched"
+    engine: str = "sparse"
 
     def __post_init__(self) -> None:
         if self.k < 1:

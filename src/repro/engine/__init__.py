@@ -13,11 +13,11 @@ layers (see DESIGN.md for the full diagram):
   :mod:`repro.engine.sparse` — the built-in backends, selected by
   ``LaacadConfig.engine``.
 
-``"legacy"`` and ``"batched"`` produce bitwise-identical results;
-``"sparse"`` (grid-bucketed candidate pairs, no dense N×N matrix)
-matches them under the 1e-9 tolerance contract documented in DESIGN.md.
-``"batched"`` is the default; new backends plug in via
-:func:`register_engine`.
+``"sparse"`` (grid-bucketed candidate pairs, no dense N×N matrix, one
+whole-network clip for small N) is the default; it matches the other
+two under the 1e-9 tolerance contract documented in DESIGN.md.
+``"legacy"`` and ``"batched"`` produce bitwise-identical results; new
+backends plug in via :func:`register_engine`.
 """
 
 from repro.engine.arrays import NodeArrayState

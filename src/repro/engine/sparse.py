@@ -34,7 +34,8 @@ engine replaces both:
   position and the sites inside its ``rho`` disk, none of which
   changed, so the spliced round is **bitwise** the round a fresh engine
   computes.  The first round, any change of alive set, area or config,
-  ``prefilter=False``, ``use_localized`` and ``count <= 1`` recompute
+  ``prefilter=False``, ``use_localized`` and small networks (``count
+  <= _WHOLE_NETWORK_MAX``, one whole-network clip) recompute
   everything; a call with nothing moved (``result()`` then ``step()``)
   reuses the stored round outright.  DESIGN.md "Incremental rounds"
   has the argument.
@@ -98,6 +99,16 @@ _ROWS_REUSED = _metrics.counter(
     "repro_engine_rows_reused_total",
     "Dominating-region rows carried over unchanged from the previous round",
 )
+
+
+#: Node counts up to this clip every node against all N-1 competitors in
+#: one ``clip_cells_batch`` call instead of walking the Lemma-1 levels:
+#: at small N a level costs a fixed ~dozen numpy passes whatever its
+#: row count, so one whole-network clip is cheaper than several levels
+#: and their queries.  The pieces are bitwise the Lemma-1 path's: the
+#: clip freezes a piece before the first competitor too far to cut it.
+#: Measured crossover: DESIGN.md "Whole-network clip at small N".
+_WHOLE_NETWORK_MAX = 100
 
 
 def _nearest_first(px, py, centers, cand, owners, counts):
@@ -208,7 +219,7 @@ class SparseRoundEngine(BatchedRoundEngine):
                 np.zeros(0), False,
             )
             recomputed = 0
-        elif count == 1 or not config.prefilter:
+        elif count <= _WHOLE_NETWORK_MAX or not config.prefilter:
             self._compute_regions_exhaustive(
                 config, area_pieces, alive_ids, positions
             )
@@ -251,18 +262,17 @@ class SparseRoundEngine(BatchedRoundEngine):
                 rows = self._dirty_rows(prev, positions, moved, cell)
         grid = SpatialGrid(positions, cell_size=cell)
         need = min(k, count - 1)
-        # The scalar schedule (initial_prefilter_radius, then doubling)
-        # floors the start radius at 5% of the diameter — a constant
-        # radius that at high density sweeps in O(N) competitors per
-        # node and turns the whole pass quadratic.  Cap the floor at two
-        # grid cells (~ twice the mean spacing, ~12 sites per disk) so
-        # the start population stays O(1) at every N.  The cap binds only
-        # above N = 1600.  A start that proves too small only costs
+        # Floor the start radius at two grid cells (~ twice the mean
+        # spacing, ~12 sites per disk) at every N, so the start
+        # population stays O(1).  The scalar schedule's 5%-of-diameter
+        # floor sweeps in O(N) competitors per node at high density,
+        # and at N < 400 lies under one node spacing, costing extra
+        # doubling levels.  A start that proves too small only costs
         # doubling iterations, never changes the Lemma-1 fixed point;
         # two cells reads the fewest candidates before re-clips at a
         # doubled rho start to dominate (DESIGN.md "Candidate pairs from
         # the spatial grid" has the sweep).
-        floor = max(min(diameter * 0.05, 2.0 * cell), EPS * 10)
+        floor = max(2.0 * cell, EPS * 10)
         max_needed = diameter * 2.0 + 1.0
 
         emit = PieceAccumulator()
@@ -487,38 +497,43 @@ class SparseRoundEngine(BatchedRoundEngine):
     def _compute_regions_exhaustive(
         self, config, area_pieces, alive_ids, positions
     ) -> None:
-        """``prefilter=False`` path: every competitor, chunked by rows.
+        """Whole-network path: every competitor, chunked by rows.
 
-        Still avoids one big N×N allocation: candidate rows are
-        processed in blocks sized by :func:`chunk_budget_bytes`, each
-        block building only a (block, N) distance panel.
+        Runs for small networks (``count <= _WHOLE_NETWORK_MAX``) and
+        for ``prefilter=False``.  Still avoids one big N×N allocation:
+        candidate rows are processed in blocks sized by
+        :func:`chunk_budget_bytes`, each block building only a
+        (block, N) distance panel.  The stages run under the Lemma-1
+        path's span names, so a trace reads the same on either path.
         """
         count = positions.shape[0]
         px = np.ascontiguousarray(positions[:, 0])
         py = np.ascontiguousarray(positions[:, 1])
+        others = count - 1
         emit = PieceAccumulator()
         # ~6 transient float64 panels of width N per block row.
         block_rows = max(1, int(chunk_budget_bytes() // max(count * 8 * 6, 1)))
         for start in range(0, count, block_rows):
             stop = min(start + block_rows, count)
             rows = np.arange(start, stop, dtype=np.int64)
-            dx = px[None, :] - px[rows, None]
-            dy = py[None, :] - py[rows, None]
-            dist_sq = dx * dx + dy * dy
-            dist_sq[np.arange(rows.size), rows] = np.inf
-            order = np.argsort(dist_sq, axis=1, kind="stable")[:, : max(count - 1, 0)]
-            flat = order.ravel()
-            comp_indptr = (
-                np.arange(rows.size + 1, dtype=np.int64) * max(count - 1, 0)
-            )
-            vx, vy, piece_indptr, piece_owner = clip_cells_batch(
-                positions[rows], px[flat], py[flat], comp_indptr, area_pieces,
-                config.k,
-            )
+            with _trace.span("candidates"):
+                dx = px[None, :] - px[rows, None]
+                dy = py[None, :] - py[rows, None]
+                dist_sq = dx * dx + dy * dy
+                dist_sq[np.arange(rows.size), rows] = np.inf
+                flat = np.argsort(dist_sq, axis=1, kind="stable")[:, :others].ravel()
+                comp_indptr = np.arange(rows.size + 1, dtype=np.int64) * others
+            with _trace.span("clip"):
+                vx, vy, piece_indptr, piece_owner = clip_cells_batch(
+                    positions[rows], px[flat], py[flat], comp_indptr,
+                    area_pieces, config.k,
+                )
             emit.extend_csr(vx, vy, piece_indptr, rows[piece_owner])
+        with _trace.span("emit"):
+            pieces = emit.finalize(count)
         self._store(
-            config, area_pieces, alive_ids, positions, emit.finalize(count),
-            np.full(count, count - 1, dtype=np.int64), np.full(count, math.inf),
+            config, area_pieces, alive_ids, positions, pieces,
+            np.full(count, others, dtype=np.int64), np.full(count, math.inf),
             False,
         )
 

@@ -98,9 +98,10 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
         choices=["batched", "legacy", "sparse"],
         default=None,
         help=(
-            "Round-engine backend for the LAACAD runs (default: batched). "
-            "batched and legacy are bitwise identical; sparse matches "
-            "them within 1e-9 and scales sub-quadratically to large N."
+            "Round-engine backend for the LAACAD runs (default: sparse). "
+            "sparse matches legacy within 1e-9 and scales "
+            "sub-quadratically to large N; batched (dense) and legacy "
+            "are bitwise identical."
         ),
     )
     parser.add_argument(

@@ -16,11 +16,11 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 FULL_SCALE_ENV = "REPRO_FULL_SCALE"
 
 #: Environment variable selecting the round-engine backend every
-#: experiment runner uses ("batched", "legacy" or "sparse"); the CLI's
-#: ``--engine`` flag sets it.  "batched" and "legacy" produce bitwise
-#: identical centralized results; "sparse" trades that for a 1e-9
-#: tolerance contract and sub-quadratic memory/time, unlocking node
-#: counts the dense tier cannot allocate (see DESIGN.md, "The sparse
+#: experiment runner uses ("sparse", "legacy" or "batched"); the CLI's
+#: ``--engine`` flag sets it.  "sparse", the default, is held to a 1e-9
+#: tolerance contract against the scalar "legacy" oracle and never
+#: builds an N×N matrix; "batched" (dense) and "legacy" produce
+#: bitwise identical centralized results (see DESIGN.md, "The sparse
 #: engine tier").  Distributed runners run "batched" as "sparse".
 ENGINE_ENV = "REPRO_ENGINE"
 
@@ -42,7 +42,7 @@ def resolve_scale() -> str:
 
 
 def resolve_engine() -> str:
-    """Round-engine backend from REPRO_ENGINE (default ``"batched"``).
+    """Round-engine backend from REPRO_ENGINE (default ``"sparse"``).
 
     Raises:
         ValueError: if REPRO_ENGINE is set to an unknown backend name —
@@ -51,7 +51,7 @@ def resolve_engine() -> str:
     """
     value = os.environ.get(ENGINE_ENV, "").strip().lower()
     if not value:
-        return "batched"
+        return "sparse"
     from repro.engine import available_engines
 
     if value not in available_engines():

@@ -87,8 +87,8 @@ def run_fig5_deployment(
         coverage_resolution: grid resolution of the coverage check.
         include_positions: embed the final node positions in the rows
             (one row per node per k) in addition to the summary rows.
-        engine: round-engine backend ("batched" or "legacy"; defaults
-            to the REPRO_ENGINE environment selection).
+        engine: round-engine backend ("sparse", "batched" or "legacy";
+            defaults to the REPRO_ENGINE environment selection).
     """
     scale = resolve_scale()
     if engine is None:

@@ -18,6 +18,7 @@ from repro.geometry.polygon import (
 from repro.geometry.predicates import point_segment_distance
 from repro.geometry.primitives import Point, distance
 from repro.geometry.triangulate import decompose_with_holes
+from repro.regions.containment import BatchedRegionContainment
 
 Polygon = List[Point]
 
@@ -181,23 +182,33 @@ class Region:
     def random_points(
         self, count: int, rng: Optional[np.random.Generator] = None
     ) -> List[Point]:
-        """Uniformly random points in the free area (rejection sampling)."""
+        """Uniformly random points in the free area (rejection sampling).
+
+        Each attempt draws ``x`` then ``y`` from the bounding box.  The
+        attempts run in batches of the still-needed count, tested with
+        :class:`BatchedRegionContainment`; a batch never holds more
+        attempts than points still missing, so no draw is wasted and the
+        points and the generator's final state are exactly those of
+        one-attempt-at-a-time sampling.
+        """
         if count < 0:
             raise ValueError("count must be non-negative")
         if rng is None:
             rng = np.random.default_rng()
         xmin, ymin, xmax, ymax = self.bbox
+        low = np.array([xmin, ymin])
+        high = np.array([xmax, ymax])
+        containment = BatchedRegionContainment(self)
         points: List[Point] = []
         attempts = 0
         max_attempts = max(1000, 1000 * count)
         while len(points) < count and attempts < max_attempts:
-            attempts += 1
-            p = (
-                float(rng.uniform(xmin, xmax)),
-                float(rng.uniform(ymin, ymax)),
-            )
-            if self.contains(p):
-                points.append(p)
+            batch = min(count - len(points), max_attempts - attempts)
+            attempts += batch
+            xy = rng.uniform(np.tile(low, batch), np.tile(high, batch))
+            xs, ys = xy[0::2], xy[1::2]
+            keep = containment.contains(xs, ys)
+            points.extend(zip(xs[keep].tolist(), ys[keep].tolist()))
         if len(points) < count:
             raise RuntimeError(
                 "rejection sampling failed to place the requested number of "

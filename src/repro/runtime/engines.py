@@ -200,7 +200,7 @@ def make_distributed_engine(
     scheduler: "SynchronousScheduler",
 ) -> DistributedRoundEngine:
     """Instantiate a registered distributed backend by name."""
-    # The shared default "batched" has no distributed engine; sparse is faster.
+    # "batched" has no distributed engine; sparse is faster.
     if name == "batched":
         name = "sparse"
     try:

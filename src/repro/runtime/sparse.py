@@ -54,13 +54,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.engine.jit_kernels import segment_argsort, segment_ids
-from repro.engine.kernels import BatchedRegionContainment
 from repro.engine.pieces import LazyRegions, materialize_pieces
 from repro.engine.sparse_kernels import clip_cells_batch, mec_batch
 from repro.geometry.primitives import Point
 from repro.network.neighbors import SpatialGrid
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
+from repro.regions.containment import BatchedRegionContainment
 from repro.runtime.engines import (
     DistributedEngineRound,
     DistributedRoundEngine,

@@ -114,7 +114,8 @@ class ScenarioSpec:
         seed: the LAACAD config seed.
         placement_seed: RNG seed of the initial placement; ``None``
             means "use ``seed``".
-        engine: round-engine backend name.
+        engine: round-engine backend name (``"sparse"`` by default;
+            see ``LaacadConfig.engine``).
         mobility: mobility dict (``{"max_step": 0.05}``); empty = the
             default unconstrained model.
         failures: failure dict (``{"scheduled": {"10": [0, 1]},
@@ -140,7 +141,7 @@ class ScenarioSpec:
     max_rounds: int = 200
     seed: int = 0
     placement_seed: Optional[int] = None
-    engine: str = "batched"
+    engine: str = "sparse"
     mobility: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     failures: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     drop_probability: float = 0.0

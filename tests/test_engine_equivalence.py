@@ -19,6 +19,7 @@ from repro.core.config import LaacadConfig
 from repro.engine import (
     BatchedRoundEngine,
     LegacyRoundEngine,
+    SparseRoundEngine,
     available_engines,
     make_engine,
 )
@@ -169,7 +170,7 @@ class TestEngineSelection:
     def test_config_engine_validation(self):
         with pytest.raises(ValueError):
             LaacadConfig(engine="")
-        assert LaacadConfig().engine == "batched"
+        assert LaacadConfig().engine == "sparse"
         assert LaacadConfig().with_engine("legacy").engine == "legacy"
 
     def test_session_uses_configured_engine(self, square):
@@ -178,4 +179,4 @@ class TestEngineSelection:
         assert isinstance(sim.deployer.engine, LegacyRoundEngine)
         network2 = SensorNetwork(square, [(0.5, 0.5), (0.2, 0.8)], comm_range=0.3)
         sim2 = Simulation(network=network2, config=LaacadConfig(k=1))
-        assert isinstance(sim2.deployer.engine, BatchedRoundEngine)
+        assert type(sim2.deployer.engine) is SparseRoundEngine

@@ -34,7 +34,8 @@ from repro.engine.kernels import (
     plan_chunks,
 )
 from repro.engine.jit_kernels import segment_ids
-from repro.engine.sparse import SparseRoundEngine
+from repro.engine import sparse as sparse_engine
+from repro.engine.sparse import _WHOLE_NETWORK_MAX, SparseRoundEngine
 from repro.network.neighbors import SpatialGrid
 from repro.network.network import SensorNetwork
 from repro.regions.shapes import (
@@ -242,9 +243,8 @@ class TestCentralizedSparseEquivalence:
         for node_id, area in areas_b.items():
             assert abs(area - areas_s[node_id]) <= TOL
 
-    # N = 1800 puts the sparse engine's start radius on its grid-cell
-    # cap (2 cells < 5% of the diameter iff N > 1600); its epsilon lets
-    # the deployment converge in a few rounds.
+    # N = 30 takes the whole-network clip, N = 1800 the Lemma-1
+    # search; the larger run's epsilon lets it converge in a few rounds.
     @pytest.mark.parametrize(
         "count,epsilon", [(30, 2e-3), (1800, 1e-2)], ids=["n30", "n1800"]
     )
@@ -267,6 +267,71 @@ class TestCentralizedSparseEquivalence:
             assert math.dist(a, b) <= TOL
         for a, b in zip(batched.sensing_ranges, sparse.sensing_ranges):
             assert abs(a - b) <= TOL
+
+
+# ----------------------------------------------------------------------
+# Centralized: the whole-network clip is bitwise the Lemma-1 search
+# ----------------------------------------------------------------------
+def _sparse_path_run(monkeypatch, region, count, k, whole_network):
+    """First-round regions and a short deployment on one sparse path.
+
+    The deployment needs ``count >= k`` nodes; below that only the
+    regions are computed (and the run is ``None``).
+    """
+    monkeypatch.setattr(
+        sparse_engine, "_WHOLE_NETWORK_MAX", 10**9 if whole_network else 1
+    )
+    positions = region.random_points(count, rng=np.random.default_rng(count + k))
+    config = LaacadConfig(k=k, max_rounds=6, engine="sparse")
+    regions, _ = make_engine(
+        "sparse", SensorNetwork(region, positions, comm_range=0.3), config
+    ).compute_regions()
+    if count < k:
+        return regions, None
+    network = SensorNetwork(region, positions, comm_range=0.3)
+    return regions, Simulation(network=network, config=config).run()
+
+
+class TestWholeNetworkPath:
+    """Below ``_WHOLE_NETWORK_MAX`` nodes the sparse engine clips every
+    node against all N-1 competitors in one call.  The clip never reads
+    a competitor past its region's freeze distance, so the pieces — and
+    so every deployment — are bitwise the Lemma-1 search's.  Only what
+    the region records of the search differs."""
+
+    @pytest.mark.parametrize(
+        "size", ["2", "k+1", "40", "max", "max+1"]
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "region_factory", [unit_square, figure8_region_one], ids=["square", "obstacle"]
+    )
+    def test_bitwise_equal_to_lemma1(self, monkeypatch, region_factory, k, size):
+        count = {
+            "2": 2, "k+1": k + 1, "40": 40,
+            "max": _WHOLE_NETWORK_MAX, "max+1": _WHOLE_NETWORK_MAX + 1,
+        }[size]
+        region = region_factory()
+        whole_regions, whole = _sparse_path_run(monkeypatch, region, count, k, True)
+        lemma_regions, lemma = _sparse_path_run(monkeypatch, region, count, k, False)
+
+        assert whole_regions.keys() == lemma_regions.keys()
+        for node_id, region_w in whole_regions.items():
+            region_l = lemma_regions[node_id]
+            assert region_w.site == region_l.site
+            assert region_w.pieces == region_l.pieces
+            assert region_w.competitors_used == count - 1
+            assert region_w.search_radius == math.inf
+            assert region_l.search_radius < math.inf
+        if whole is None:
+            return
+        assert whole.final_positions == lemma.final_positions
+        assert whole.sensing_ranges == lemma.sensing_ranges
+        assert whole.rounds_executed == lemma.rounds_executed
+        assert whole.converged == lemma.converged
+        assert [dataclasses.asdict(s) for s in whole.history] == [
+            dataclasses.asdict(s) for s in lemma.history
+        ]
 
 
 # ----------------------------------------------------------------------

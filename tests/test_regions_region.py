@@ -7,7 +7,29 @@ import pytest
 
 from repro.geometry.polygon import polygon_area
 from repro.regions.region import Region
-from repro.regions.shapes import square_region, unit_square
+from repro.regions.shapes import (
+    figure8_region_one,
+    figure8_region_two,
+    l_shaped_region,
+    square_region,
+    unit_square,
+)
+
+
+def _scalar_random_points(region, count, rng):
+    """The one-attempt-at-a-time rejection sampler ``random_points`` batches."""
+    xmin, ymin, xmax, ymax = region.bbox
+    points = []
+    attempts = 0
+    max_attempts = max(1000, 1000 * count)
+    while len(points) < count and attempts < max_attempts:
+        attempts += 1
+        p = (float(rng.uniform(xmin, xmax)), float(rng.uniform(ymin, ymax)))
+        if region.contains(p):
+            points.append(p)
+    if len(points) < count:
+        raise RuntimeError("rejection sampling failed")
+    return points
 
 
 class TestConstruction:
@@ -133,6 +155,39 @@ class TestSampling:
         a = square.random_points(5, rng=np.random.default_rng(9))
         b = square.random_points(5, rng=np.random.default_rng(9))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            unit_square(),
+            figure8_region_one(),
+            figure8_region_two(),
+            l_shaped_region(),
+            # A diagonal sliver, 1% of its bounding box: most attempts fail.
+            Region([(0.0, 0.0), (0.01, 0.0), (1.0, 1.0), (0.99, 1.0)]),
+        ],
+        ids=["square", "fig8-holes", "fig8-l-holes", "l-shape", "low-acceptance"],
+    )
+    @pytest.mark.parametrize("count", [0, 1, 7, 300])
+    def test_random_points_match_one_attempt_at_a_time(self, region, count):
+        fast_rng = np.random.default_rng(count + 11)
+        slow_rng = np.random.default_rng(count + 11)
+        assert region.random_points(count, rng=fast_rng) == _scalar_random_points(
+            region, count, slow_rng
+        )
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+    def test_random_points_failure_matches_one_attempt_at_a_time(self):
+        # A diagonal needle, 1e-5 of its bounding box: 2000 attempts
+        # place both points with probability ~2e-4.
+        needle = Region([(0.0, 0.0), (1e-5, 0.0), (1.0, 1.0), (1.0 - 1e-5, 1.0)])
+        fast_rng = np.random.default_rng(3)
+        slow_rng = np.random.default_rng(3)
+        with pytest.raises(RuntimeError, match="rejection sampling failed"):
+            needle.random_points(2, rng=fast_rng)
+        with pytest.raises(RuntimeError, match="rejection sampling failed"):
+            _scalar_random_points(needle, 2, slow_rng)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
     def test_vertices_include_holes(self, holed_region):
         assert len(holed_region.vertices()) == 4 + 4
