@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,10 +51,17 @@ from repro.api.results import (
 )
 from repro.core.config import LaacadConfig
 from repro.core.convergence import ConvergenceTracker
-from repro.geometry.primitives import Point, distance
+from repro.engine.pieces import region_vertices, vertex_circumradii
+from repro.geometry.primitives import Point, hypot_exact
 from repro.network.mobility import MobilityModel
 from repro.network.network import SensorNetwork
 from repro.obs import trace as _trace
+
+
+def _point_table(points: Dict[int, Point]) -> Tuple[np.ndarray, np.ndarray]:
+    """A ``{node id: point}`` dict as ``(ids, (M, 2) float array)``."""
+    ids = np.fromiter(points.keys(), dtype=np.intp, count=len(points))
+    return ids, np.array(list(points.values()), dtype=float).reshape(-1, 2)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,7 +100,7 @@ class Deployer(abc.ABC):
         self.network = network
         self.config = config
         self.mobility = mobility if mobility is not None else MobilityModel()
-        self._initial_positions: List[Point] = list(network.positions())
+        self._initial_positions: List[Point] = network.positions()
         self._history: List[RoundStats] = []
         self._tracker = ConvergenceTracker(
             epsilon=config.epsilon, patience=config.convergence_patience
@@ -111,6 +118,11 @@ class Deployer(abc.ABC):
         return self._converged or self._rounds >= self.config.max_rounds
 
     @property
+    def rounds_executed(self) -> int:
+        """Rounds completed so far."""
+        return self._rounds
+
+    @property
     def state(self) -> SessionState:
         """Current session state (cheap, safe to poll every round)."""
         return SessionState(
@@ -118,8 +130,8 @@ class Deployer(abc.ABC):
             rounds_executed=self._rounds,
             converged=self._converged,
             done=self.done,
-            positions=list(self.network.positions()),
-            alive_count=len(self.network.alive_nodes()),
+            positions=self.network.positions(),
+            alive_count=self.network.alive_count(),
         )
 
     @abc.abstractmethod
@@ -144,6 +156,36 @@ class Deployer(abc.ABC):
     @abc.abstractmethod
     def result(self) -> SimulationResult:
         """Finalize sensing ranges and return the (cached) result."""
+
+    def _move(self, ids: np.ndarray, targets: np.ndarray) -> None:
+        """The synchronous move: nodes ``ids`` head for ``targets`` at once.
+
+        The mobility model constrains every ``(M, 2)`` target, then one
+        :meth:`SensorNetwork.apply_moves` clamps and applies them all,
+        so the spatial caches are invalidated once, not per node.
+        """
+        network = self.network
+        current = network.columns.positions[ids]
+        constrained = self.mobility.constrain_many(network.region, current, targets)
+        network.apply_moves(constrained, clamp_to_region=True, ids=ids)
+
+    def _final_sensing_ranges(self, regions: Dict[int, Any]) -> List[float]:
+        """Size every alive node to its region from where it stands.
+
+        The circumradius of each alive node's dominating region measured
+        from its current position, computed over the regions' flat
+        vertex block (no polygon is materialised) and written into the
+        network; nodes that are dead or have no region read 0.0.
+        """
+        columns = self.network.columns
+        vertices = region_vertices(regions)
+        radii = vertex_circumradii(vertices, columns.positions[vertices.ids])
+        live = columns.alive[vertices.ids]
+        ids, radii = vertices.ids[live], radii[live]
+        columns.sensing_ranges[ids] = radii
+        ranges = np.zeros(len(columns))
+        ranges[ids] = radii
+        return ranges.tolist()
 
     def _require_active(self) -> int:
         if self.done:
@@ -170,6 +212,7 @@ class Deployer(abc.ABC):
             # the final sensing ranges back into the network.
             result_payload = self.result().to_dict()
         network = self.network
+        columns = network.columns
         payload: Dict[str, Any] = {
             "checkpoint_version": CHECKPOINT_VERSION,
             "kind": self.kind,
@@ -181,10 +224,10 @@ class Deployer(abc.ABC):
             "region": region_to_dict(network.region),
             "comm_range": float(network.comm_range),
             "nodes": {
-                "positions": [[float(x), float(y)] for x, y in network.positions()],
-                "alive": [bool(n.alive) for n in network.nodes],
-                "sensing_ranges": [float(n.sensing_range) for n in network.nodes],
-                "distance_traveled": [float(n.distance_traveled) for n in network.nodes],
+                "positions": columns.positions.tolist(),
+                "alive": columns.alive.tolist(),
+                "sensing_ranges": columns.sensing_ranges.tolist(),
+                "distance_traveled": columns.distance_traveled.tolist(),
             },
             "initial_positions": [
                 [float(x), float(y)] for x, y in self._initial_positions
@@ -255,7 +298,7 @@ class CentralizedDeployer(Deployer):
     ) -> None:
         from repro.engine import make_engine
 
-        if len(network.alive_nodes()) < config.k:
+        if network.alive_count() < config.k:
             raise ValueError(
                 "the network needs at least k alive nodes to attempt k-coverage"
             )
@@ -267,7 +310,7 @@ class CentralizedDeployer(Deployer):
         #: so the refreshed values are bitwise identical).
         self._last_regions: Optional[Dict[int, Any]] = {}
         self._position_history: Optional[List[List[Point]]] = (
-            [list(network.positions())] if config.record_positions else None
+            [network.positions()] if config.record_positions else None
         )
 
     def step(self) -> RoundEvent:
@@ -298,26 +341,11 @@ class CentralizedDeployer(Deployer):
         if self._tracker.observe(displacements):
             self._converged = True
         else:
-            # Synchronous move: every node steps alpha of the way to its
-            # Chebyshev center, constrained by the mobility model.  The
-            # targets are collected first and applied as one batch so
-            # the spatial caches are invalidated once, not per node.
-            moves: Dict[int, Point] = {}
-            for node_id, center in centers.items():
-                node = network.node(node_id)
-                if distance(node.position, center) <= config.epsilon:
-                    continue
-                target = (
-                    node.position[0] + config.alpha * (center[0] - node.position[0]),
-                    node.position[1] + config.alpha * (center[1] - node.position[1]),
-                )
-                moves[node_id] = self.mobility.constrain(
-                    network.region, node.position, target
-                )
-            network.apply_moves(moves, clamp_to_region=True)
+            with _trace.span("move"):
+                self._move_to_centers(engine_round)
             moved = True
             if config.record_positions and self._position_history is not None:
-                self._position_history.append(list(network.positions()))
+                self._position_history.append(network.positions())
 
         return RoundEvent(
             round_index=round_index,
@@ -325,12 +353,28 @@ class CentralizedDeployer(Deployer):
             displacements=displacements,
             ranges_from_position=ranges_from_position,
             centers=centers,
-            positions=list(network.positions()),
+            positions=network.positions(),
             moved=moved,
             converged=self._converged,
             done=self.done,
             regions=engine_round.regions if self.expose_regions else None,
         )
+
+    def _move_to_centers(self, engine_round: Any) -> None:
+        """Synchronous move: nodes off their Chebyshev center step alpha of the way.
+
+        A node moves when it is farther than epsilon from its center,
+        measured with ``math.hypot`` as the scalar loop did; its target
+        keeps the ``pos + alpha * (center - pos)`` grouping per
+        coordinate.
+        """
+        config = self.config
+        ids, center_xy = _point_table(engine_round.centers)
+        pos = self.network.columns.positions[ids]
+        offset = hypot_exact(pos[:, 0] - center_xy[:, 0], pos[:, 1] - center_xy[:, 1])
+        movers = ~(offset <= config.epsilon)
+        pos = pos[movers]
+        self._move(ids[movers], pos + config.alpha * (center_xy[movers] - pos))
 
     def result(self) -> SimulationResult:
         if self._result is not None:
@@ -347,23 +391,12 @@ class CentralizedDeployer(Deployer):
         regions = self._last_regions
         if not self._converged or regions is None:
             regions, _ = self.engine.compute_regions()
-        sensing_ranges: List[float] = []
-        for node in network.nodes:
-            if not node.alive:
-                sensing_ranges.append(0.0)
-                continue
-            region = regions.get(node.node_id)
-            if region is None:
-                sensing_ranges.append(0.0)
-                continue
-            r = region.circumradius(node.position)
-            network.set_sensing_range(node.node_id, r)
-            sensing_ranges.append(r)
+        sensing_ranges = self._final_sensing_ranges(regions)
 
         self._result = SimulationResult(
             config=self.config,
             initial_positions=self._initial_positions,
-            final_positions=list(network.positions()),
+            final_positions=network.positions(),
             sensing_ranges=sensing_ranges,
             converged=self._converged,
             rounds_executed=self._rounds,
@@ -431,7 +464,7 @@ class DistributedDeployer(Deployer):
         from repro.runtime.engines import make_distributed_engine
         from repro.runtime.scheduler import SynchronousScheduler
 
-        if len(network.alive_nodes()) < config.k:
+        if network.alive_count() < config.k:
             raise ValueError("the network needs at least k alive nodes")
         super().__init__(network, config, mobility)
         self.scheduler = SynchronousScheduler(
@@ -518,14 +551,9 @@ class DistributedDeployer(Deployer):
         if self._tracker.observe(displacements):
             self._converged = True
         else:
-            # Apply the proposed moves simultaneously (one batch, one
-            # spatial-cache invalidation).
-            moves: Dict[int, Point] = {}
-            for node_id, target in engine_round.proposed_targets.items():
-                moves[node_id] = self.mobility.constrain(
-                    network.region, network.node(node_id).position, target
-                )
-            network.apply_moves(moves, clamp_to_region=True)
+            # Apply the proposed moves simultaneously.
+            with _trace.span("move"):
+                self._move(*_point_table(engine_round.proposed_targets))
             moved = True
 
         return RoundEvent(
@@ -534,7 +562,7 @@ class DistributedDeployer(Deployer):
             displacements=displacements,
             ranges_from_position=ranges_from_position,
             centers=centers,
-            positions=list(network.positions()),
+            positions=network.positions(),
             moved=moved,
             converged=self._converged,
             done=self.done,
@@ -574,16 +602,7 @@ class DistributedDeployer(Deployer):
             self.scheduler.end_round()
             self._have_regions = True
 
-        sensing_ranges: List[float] = []
-        last_regions = self.protocol.last_regions
-        for node in network.nodes:
-            region = last_regions.get(node.node_id)
-            if not node.alive or region is None:
-                sensing_ranges.append(0.0)
-                continue
-            r = region.circumradius(node.position)
-            network.set_sensing_range(node.node_id, r)
-            sensing_ranges.append(r)
+        sensing_ranges = self._final_sensing_ranges(self.protocol.last_regions)
 
         communication = CommunicationSummary.from_stats(self.scheduler.stats)
         if snapshot is not None:
@@ -592,7 +611,7 @@ class DistributedDeployer(Deployer):
         result = SimulationResult(
             config=self.config,
             initial_positions=self._initial_positions,
-            final_positions=list(network.positions()),
+            final_positions=network.positions(),
             sensing_ranges=sensing_ranges,
             converged=self._converged,
             rounds_executed=self._rounds,

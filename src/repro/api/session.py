@@ -305,7 +305,7 @@ class Simulation:
         observer is logged and detached so the remaining observers (and
         all future rounds) keep receiving events.
         """
-        with _trace.span("round", index=self.state.rounds_executed):
+        with _trace.span("round", index=self.deployer.rounds_executed):
             event = self.deployer.step()
         self._idle_since = time.monotonic()
         for observer in list(self._observers):
@@ -325,7 +325,7 @@ class Simulation:
     def events(self, until: Optional[int] = None) -> Iterator[RoundEvent]:
         """Iterate rounds lazily: ``for event in sim.events(): ...``."""
         while not self.done and (
-            until is None or self.state.rounds_executed < until
+            until is None or self.deployer.rounds_executed < until
         ):
             yield self.step()
 
@@ -393,19 +393,12 @@ class Simulation:
         region = region_from_dict(payload["region"])
         nodes = payload["nodes"]
         network = SensorNetwork(
-            region,
-            [(float(p[0]), float(p[1])) for p in nodes["positions"]],
-            comm_range=float(payload["comm_range"]),
+            region, nodes["positions"], comm_range=float(payload["comm_range"])
         )
-        for node, alive, sensing_range, traveled in zip(
-            network.nodes,
-            nodes["alive"],
-            nodes["sensing_ranges"],
-            nodes["distance_traveled"],
-        ):
-            node.alive = bool(alive)
-            node.sensing_range = float(sensing_range)
-            node.distance_traveled = float(traveled)
+        columns = network.columns
+        columns.alive[:] = nodes["alive"]
+        columns.sensing_ranges[:] = nodes["sensing_ranges"]
+        columns.distance_traveled[:] = nodes["distance_traveled"]
         network._invalidate()
 
         config = LaacadConfig.from_mapping(payload["config"])

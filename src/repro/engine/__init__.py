@@ -3,8 +3,8 @@
 The engine subsystem splits the hot path of Algorithm 1 into four
 layers (see DESIGN.md for the full diagram):
 
-* :mod:`repro.engine.arrays` — struct-of-arrays network state
-  (:class:`NodeArrayState`) with explicit sync to/from node objects;
+* :mod:`repro.engine.arrays` — per-round copies of the network's node
+  arrays (:class:`NodeArrayState`);
 * :mod:`repro.engine.kernels` — vectorized distance, pre-filter and
   clipping kernels shared with the analysis layer;
 * :mod:`repro.engine.base` — the :class:`RoundEngine` protocol, the

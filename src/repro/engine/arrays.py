@@ -1,11 +1,13 @@
-"""Array-of-structs → struct-of-arrays bridge for the sensor network.
+"""Struct-of-arrays snapshots of the sensor network's node state.
 
-The batched round engine works on contiguous NumPy arrays; the rest of
-the repo works on :class:`~repro.network.node.Node` objects.
-:class:`NodeArrayState` is the explicit synchronisation point between
-the two worlds: a snapshot of positions, sensing ranges, movement
-energy and liveness as ``(N, 2)`` / ``(N,)`` arrays, index-aligned with
-``network.nodes``, with helpers to write array-side updates back.
+A :class:`~repro.network.network.SensorNetwork` owns its node state as
+arrays (:class:`~repro.network.node.NodeColumns`) and its ``Node``
+objects are views of them, so there is nothing to synchronise.  A
+:class:`NodeArrayState` is a *copy* of those columns plus the node ids,
+taken when an engine needs positions that stay put while the network
+moves on (the sparse engine keeps last round's positions to find the
+movers).  Nothing writes a snapshot back: the network's own columns
+are the state.
 """
 
 from __future__ import annotations
@@ -39,45 +41,19 @@ class NodeArrayState:
     alive: np.ndarray
 
     # ------------------------------------------------------------------
-    # Construction / synchronisation
+    # Construction
     # ------------------------------------------------------------------
     @classmethod
     def from_network(cls, network: "SensorNetwork") -> "NodeArrayState":
-        """Snapshot the network's node attributes into contiguous arrays."""
-        nodes = network.nodes
+        """Copy the network's node columns."""
+        columns = network.columns
         return cls(
-            node_ids=np.asarray([n.node_id for n in nodes], dtype=np.intp),
-            positions=np.asarray([n.position for n in nodes], dtype=float),
-            sensing_ranges=np.asarray([n.sensing_range for n in nodes], dtype=float),
-            distance_traveled=np.asarray(
-                [n.distance_traveled for n in nodes], dtype=float
-            ),
-            alive=network.alive_mask(),
+            node_ids=np.arange(len(columns), dtype=np.intp),
+            positions=columns.positions.copy(),
+            sensing_ranges=columns.sensing_ranges.copy(),
+            distance_traveled=columns.distance_traveled.copy(),
+            alive=columns.alive.copy(),
         )
-
-    def apply_to_network(
-        self,
-        network: "SensorNetwork",
-        positions: bool = True,
-        sensing_ranges: bool = True,
-    ) -> None:
-        """Write the array-side state back onto the network's nodes.
-
-        Positions are applied through ``Node.move_to`` so that
-        ``distance_traveled`` keeps accounting for the movement energy;
-        the network's spatial caches are invalidated once at the end
-        rather than per node.
-        """
-        if self.positions.shape[0] != len(network.nodes):
-            raise ValueError("array state and network have different node counts")
-        for idx, node in enumerate(network.nodes):
-            if positions:
-                target = (float(self.positions[idx, 0]), float(self.positions[idx, 1]))
-                if target != node.position:
-                    node.move_to(target)
-            if sensing_ranges:
-                node.sensing_range = float(self.sensing_ranges[idx])
-        network._invalidate()
 
     # ------------------------------------------------------------------
     # Views

@@ -18,22 +18,31 @@ backends:
   conversion, run once per round at most;
 * :class:`LazyRegions` — a regions dict whose materialisation is
   deferred to the first read, keeping the conversion off the per-round
-  critical path entirely (the protocol/deployer hot loops only consume
-  the vectorised summaries; polygons are read by ``result()`` and the
-  compat agent surface).
+  critical path entirely.  It also carries the round's vertices as one
+  flat block (:class:`RegionVertices`), which is all the deployers'
+  ``result()`` needs: :func:`vertex_circumradii` sizes every final
+  sensing range from it, so no polygon is ever built to finalize a run.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.jit_kernels import ragged_indices
-from repro.geometry.primitives import Point
+from repro.engine.jit_kernels import ragged_indices, segment_ids
+from repro.geometry.primitives import Point, hypot_exact
 from repro.obs import metrics as _metrics
 
-__all__ = ["LazyRegions", "PieceAccumulator", "materialize_pieces", "splice_pieces"]
+__all__ = [
+    "LazyRegions",
+    "PieceAccumulator",
+    "RegionVertices",
+    "materialize_pieces",
+    "region_vertices",
+    "splice_pieces",
+    "vertex_circumradii",
+]
 
 #: Pool telemetry (process-wide): freezes are `extend` calls that grew
 #: the pool (one per finishing expanding-radius iteration with output),
@@ -208,19 +217,99 @@ def materialize_pieces(
     return pieces_per_row
 
 
+class RegionVertices(NamedTuple):
+    """Every region's vertices as one flat block, row ``i`` for ``ids[i]``.
+
+    Row ``i``'s vertices are ``vx[indptr[i]:indptr[i + 1]]`` (and
+    ``vy``), its pieces one after another; an empty region has none.
+    """
+
+    ids: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+    indptr: np.ndarray
+
+
+def region_vertices(regions: Dict) -> RegionVertices:
+    """The flat vertex block of a regions dict, in the dict's key order.
+
+    A :class:`LazyRegions` hands over the block it was built with; a
+    plain dict of polygon regions (the scalar engines) is flattened.
+    """
+    vertices = getattr(regions, "vertices", None)
+    if vertices is not None:
+        return vertices
+    xs: List[float] = []
+    ys: List[float] = []
+    counts: List[int] = []
+    for region in regions.values():
+        before = len(xs)
+        for piece in region.pieces:
+            for x, y in piece:
+                xs.append(x)
+                ys.append(y)
+        counts.append(len(xs) - before)
+    return RegionVertices(
+        ids=np.fromiter(regions.keys(), dtype=np.intp, count=len(counts)),
+        vx=np.asarray(xs, dtype=float),
+        vy=np.asarray(ys, dtype=float),
+        indptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
+    )
+
+
+def vertex_circumradii(vertices: RegionVertices, origins: np.ndarray) -> np.ndarray:
+    """Per row, the farthest vertex's distance from ``origins[row]``.
+
+    ``DominatingRegion.circumradius`` over flat arrays, bitwise: the
+    result is the row maximum, from 0.0, of ``math.hypot`` of the same
+    coordinate differences, so an empty region reads 0.0.  ``np.hypot``
+    is within one ulp of ``math.hypot``, so it ranks the vertices first
+    and only those within a few ulps of their row's maximum — the only
+    ones that can hold the exact maximum — are measured exactly.
+    """
+    counts = np.diff(vertices.indptr)
+    radii = np.zeros(counts.shape[0])
+    if vertices.vx.size == 0:
+        return radii
+    owner = segment_ids(counts, vertices.vx.shape[0])
+    dx = vertices.vx - origins[owner, 0]
+    dy = vertices.vy - origins[owner, 1]
+    approx = np.hypot(dx, dy)
+    filled = np.nonzero(counts)[0]
+    radii[filled] = np.maximum.reduceat(approx, vertices.indptr[:-1][filled])
+    floor = radii[owner]
+    floor -= 4 * np.spacing(floor)
+    near = np.nonzero(approx >= floor)[0]
+    near_owner = owner[near]
+    # Every filled row keeps at least its approximate maximum, so the
+    # row groups of ``near`` line up with ``filled``.
+    starts = np.nonzero(np.concatenate(([True], near_owner[1:] != near_owner[:-1])))[0]
+    radii[filled] = np.maximum.reduceat(hypot_exact(dx[near], dy[near]), starts)
+    return radii
+
+
 class LazyRegions(dict):
     """A regions dict materialised on first read access.
 
     The per-round hot paths only consume the vectorised summaries
-    (centers, displacements, proposed targets); the region *polygons*
-    are read by ``result()`` at the very end and by the compat agent
-    surface.  Deferring the flat-array → Python-piece conversion to the
-    first read keeps it off the per-round critical path.
+    (centers, displacements, proposed targets), and ``result()`` reads
+    only the flat :attr:`vertices`; the region *polygons* are built for
+    callers that ask for them (``expose_regions``, the compat agent
+    surface, direct ``compute_regions`` users).  Deferring the
+    flat-array → Python-piece conversion to the first read keeps it off
+    every deployment's path.
     """
 
-    def __init__(self, builder: Optional[Callable[[], Dict]] = None) -> None:
+    def __init__(
+        self,
+        builder: Optional[Callable[[], Dict]] = None,
+        vertices: Optional[RegionVertices] = None,
+    ) -> None:
         super().__init__()
         self._builder = builder
+        #: The regions' vertices as one flat block (read without
+        #: materialising anything).
+        self.vertices = vertices
 
     def _ensure(self) -> None:
         builder = self._builder

@@ -71,6 +71,7 @@ from repro.engine.pieces import (
     EmittedPieces,
     LazyRegions,
     PieceAccumulator,
+    RegionVertices,
     materialize_pieces,
     splice_pieces,
 )
@@ -445,7 +446,7 @@ class SparseRoundEngine(BatchedRoundEngine):
         summaries of every row outside ``rows`` carry over (a row whose
         pieces and position are unchanged has unchanged summaries).
         """
-        vx, vy, piece_indptr, piece_owner, _ = pieces
+        vx, vy, piece_indptr, piece_owner, vert_indptr = pieces
         count = alive_ids.shape[0]
         if carried is None:
             cx, cy, radius, ranges = (np.zeros(count) for _ in range(4))
@@ -456,7 +457,7 @@ class SparseRoundEngine(BatchedRoundEngine):
             stale = prev.stale
             stale[rows] = True
         regions = self._lazy_regions(
-            vx, vy, piece_indptr, piece_owner, alive_ids,
+            vx, vy, piece_indptr, piece_owner, vert_indptr, alive_ids,
             np.ascontiguousarray(positions[:, 0]),
             np.ascontiguousarray(positions[:, 1]),
             config.k, used, search_radius,
@@ -470,8 +471,8 @@ class SparseRoundEngine(BatchedRoundEngine):
         )
 
     def _lazy_regions(
-        self, vx, vy, piece_indptr, piece_owner, alive_ids, px, py, k,
-        used, search_radius,
+        self, vx, vy, piece_indptr, piece_owner, vert_indptr, alive_ids, px,
+        py, k, used, search_radius,
     ) -> Dict[int, DominatingRegion]:
         """Regions dict whose Python polygons build on first read."""
         count = alive_ids.shape[0]
@@ -491,7 +492,7 @@ class SparseRoundEngine(BatchedRoundEngine):
                 )
             return built
 
-        return LazyRegions(build)
+        return LazyRegions(build, RegionVertices(alive_ids, vx, vy, vert_indptr))
 
     # ------------------------------------------------------------------
     def _compute_regions_exhaustive(
@@ -545,15 +546,13 @@ class SparseRoundEngine(BatchedRoundEngine):
             state = self._state
             alive_ids = state.alive_ids
             pos = state.positions
-            count = alive_ids.shape[0]
             rows = np.nonzero(state.stale)[0]
             if rows.size:
                 self._summarize_rows(state, rows)
             displacements = np.hypot(pos[:, 0] - state.cx, pos[:, 1] - state.cy)
-            centers = {
-                int(alive_ids[row]): (float(state.cx[row]), float(state.cy[row]))
-                for row in range(count)
-            }
+            centers = dict(
+                zip(alive_ids.tolist(), zip(state.cx.tolist(), state.cy.tolist()))
+            )
         return EngineRound(
             regions=regions,
             centers=centers,

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence, Tuple
 
+import numpy as np
+
 #: Canonical point type used across the geometry package.
 Point = Tuple[float, float]
 
@@ -66,6 +68,20 @@ def norm(p: Point) -> float:
 def distance(p: Point, q: Point) -> float:
     """Euclidean distance between two points."""
     return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+def hypot_exact(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`math.hypot` over two float arrays.
+
+    ``np.hypot`` and ``math.hypot`` differ in the last bit on a few
+    pairs in a thousand; every length that feeds a decision or a stored
+    value (the move stage's epsilon test and step limit, the distance a
+    node travels, a final sensing range) goes through here so the array
+    code keeps the scalar code's floats exactly.
+    """
+    return np.fromiter(
+        map(math.hypot, dx.tolist(), dy.tolist()), dtype=float, count=len(dx)
+    )
 
 
 def distance_sq(p: Point, q: Point) -> float:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Mapping, Optional, Tuple
 
-from repro.geometry.primitives import Point, distance
+import numpy as np
+
+from repro.geometry.primitives import Point, hypot_exact
 from repro.regions.region import Region
 
 
@@ -49,27 +51,38 @@ class MobilityModel:
             keep_in_region=bool(spec.get("keep_in_region", True)),
         )
 
-    def constrain(
-        self, region: Region, current: Point, target: Point
-    ) -> Point:
-        """Apply the mobility constraints to a desired move.
+    def constrain_many(
+        self, region: Region, current: np.ndarray, targets: np.ndarray
+    ) -> np.ndarray:
+        """Apply the mobility constraints to many desired moves at once.
 
         Args:
             region: the target area providing the free-space geometry.
-            current: the node's current position.
-            target: the unconstrained motion target.
+            current: ``(M, 2)`` current node positions.
+            targets: ``(M, 2)`` unconstrained motion targets.
 
         Returns:
-            The admissible position for this round.
+            The ``(M, 2)`` admissible positions for this round (a new
+            array).  A step longer than ``max_step`` (measured with
+            ``math.hypot``) is scaled back along its own direction; a
+            position outside the free area is projected onto it.
         """
-        step = distance(current, target)
-        constrained = target
-        if self.max_step is not None and step > self.max_step:
-            fraction = self.max_step / step
-            constrained = (
-                current[0] + fraction * (target[0] - current[0]),
-                current[1] + fraction * (target[1] - current[1]),
-            )
-        if self.keep_in_region and not region.contains(constrained):
-            constrained = region.nearest_free_point(constrained)
-        return constrained
+        out = np.array(targets, dtype=float).reshape(-1, 2)
+        if self.max_step is not None and out.shape[0]:
+            current = np.asarray(current, dtype=float).reshape(-1, 2)
+            step = hypot_exact(current[:, 0] - out[:, 0], current[:, 1] - out[:, 1])
+            over = np.nonzero(step > self.max_step)[0]
+            fraction = self.max_step / step[over]
+            cur = current[over]
+            out[over] = cur + fraction[:, None] * (out[over] - cur)
+        if self.keep_in_region:
+            out = region.nearest_free_points(out)
+        return out
+
+    def constrain(
+        self, region: Region, current: Point, target: Point
+    ) -> Point:
+        """:meth:`constrain_many` for a single move."""
+        out = self.constrain_many(region, np.array([current]), np.array([target]))
+        x, y = out[0].tolist()
+        return (x, y)

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import networkx as nx
 import numpy as np
 
-from repro.geometry.primitives import Point, distance
+from repro.geometry.primitives import Point, distance, hypot_exact
 from repro.network.neighbors import SpatialGrid, pairwise_distances
-from repro.network.node import Node
+from repro.network.node import Node, NodeColumns
 from repro.regions.region import Region
 
 
@@ -22,6 +21,10 @@ class SensorNetwork:
     within a Euclidean radius (the expanding ring), multi-hop
     neighbourhoods on the unit-disk communication graph, and coverage/
     connectivity summaries.
+
+    The nodes' mutable state lives in :attr:`columns` (positions,
+    sensing ranges, distance travelled and liveness as numpy arrays);
+    ``nodes`` are :class:`Node` views of its rows, built on first use.
 
     Args:
         region: the monitored area ``A``.
@@ -37,61 +40,74 @@ class SensorNetwork:
     ) -> None:
         if comm_range <= 0:
             raise ValueError("comm_range must be positive")
-        if not positions:
+        if len(positions) == 0:
             raise ValueError("a network needs at least one node")
         self.region = region
         self.comm_range = float(comm_range)
-        self.nodes: List[Node] = [
-            Node(node_id=i, position=(float(p[0]), float(p[1])), comm_range=comm_range)
-            for i, p in enumerate(positions)
-        ]
+        xy = np.array(positions, dtype=float)
+        if xy.ndim != 2 or xy.shape[1] != 2:
+            xy = np.array([(float(p[0]), float(p[1])) for p in positions])
+        self.columns = NodeColumns(xy)
+        self._nodes: Optional[List[Node]] = None
         self._graph_cache: Optional[nx.Graph] = None
         self._grid_cache: Optional[SpatialGrid] = None
 
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
+    @property
+    def nodes(self) -> List[Node]:
+        """One :class:`Node` view per row of :attr:`columns`, in id order."""
+        if self._nodes is None:
+            columns = self.columns
+            comm_range = self.comm_range
+            self._nodes = [
+                Node.view(columns, i, comm_range) for i in range(len(columns))
+            ]
+        return self._nodes
+
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.columns)
 
     @property
     def size(self) -> int:
         """Number of nodes (alive or not)."""
-        return len(self.nodes)
+        return len(self.columns)
 
     def alive_nodes(self) -> List[Node]:
         """Nodes that are currently operational."""
-        return [n for n in self.nodes if n.alive]
+        nodes = self.nodes
+        return [nodes[i] for i in np.nonzero(self.columns.alive)[0].tolist()]
+
+    def alive_count(self) -> int:
+        """Number of operational nodes."""
+        return int(np.count_nonzero(self.columns.alive))
 
     def positions(self, alive_only: bool = False) -> List[Point]:
         """Current node positions, index-aligned with ``self.nodes`` unless filtered."""
-        if alive_only:
-            return [n.position for n in self.nodes if n.alive]
-        return [n.position for n in self.nodes]
+        xy = self.positions_array(alive_only=alive_only)
+        return list(zip(xy[:, 0].tolist(), xy[:, 1].tolist()))
 
     def positions_array(self, alive_only: bool = False) -> np.ndarray:
-        """Positions as an ``(N, 2)`` numpy array."""
-        return np.asarray(self.positions(alive_only=alive_only), dtype=float)
+        """Positions as an ``(N, 2)`` numpy array (a copy)."""
+        if alive_only:
+            return self.columns.positions[self.columns.alive]
+        return self.columns.positions.copy()
 
     def sensing_ranges(self, alive_only: bool = False) -> List[float]:
         """Current sensing ranges, index-aligned with :meth:`positions`."""
+        ranges = self.columns.sensing_ranges
         if alive_only:
-            return [n.sensing_range for n in self.nodes if n.alive]
-        return [n.sensing_range for n in self.nodes]
+            ranges = ranges[self.columns.alive]
+        return ranges.tolist()
 
     def alive_mask(self) -> np.ndarray:
-        """Boolean liveness mask, index-aligned with ``self.nodes``."""
-        return np.asarray([n.alive for n in self.nodes], dtype=bool)
-
-    def array_state(self) -> "NodeArrayState":
-        """Struct-of-arrays snapshot of the node set (see ``repro.engine.arrays``)."""
-        from repro.engine.arrays import NodeArrayState
-
-        return NodeArrayState.from_network(self)
+        """Boolean liveness mask, index-aligned with ``self.nodes`` (a copy)."""
+        return self.columns.alive.copy()
 
     def node(self, node_id: int) -> Node:
         """Node lookup by identifier."""
-        if not 0 <= node_id < len(self.nodes):
+        if not 0 <= node_id < len(self.columns):
             raise IndexError(f"node id {node_id} out of range")
         return self.nodes[node_id]
 
@@ -105,42 +121,59 @@ class SensorNetwork:
     def move_node(self, node_id: int, new_position: Point, clamp_to_region: bool = True) -> float:
         """Move a node, optionally projecting the target into the free area.
 
-        Returns the distance actually moved.
+        :meth:`apply_moves` for one node; returns the distance actually moved.
         """
-        node = self.node(node_id)
-        target = (float(new_position[0]), float(new_position[1]))
-        if clamp_to_region and not self.region.contains(target):
-            target = self.region.nearest_free_point(target)
-        moved = node.move_to(target)
-        self._invalidate()
-        return moved
+        return self.apply_moves({node_id: new_position}, clamp_to_region)[node_id]
 
     def apply_moves(
-        self, targets: Mapping[int, Point], clamp_to_region: bool = True
-    ) -> Dict[int, float]:
+        self,
+        targets: Union[Mapping[int, Point], np.ndarray],
+        clamp_to_region: bool = True,
+        ids: Optional[np.ndarray] = None,
+    ) -> Union[Dict[int, float], np.ndarray]:
         """Move many nodes at once, invalidating the spatial caches once.
 
-        Equivalent to calling :meth:`move_node` for every entry — each
-        target is clamped into the free area independently and applied
-        through ``Node.move_to`` (so movement energy keeps accruing) —
-        except that the cached spatial grid and connectivity graph are
-        invalidated a single time at the end instead of once per node.
-        The deployers' synchronous end-of-round move is the intended
-        caller: no neighbourhood query happens mid-batch, so the
-        observable state after the batch is identical while the next
-        round rebuilds the grid once instead of N times.
+        Two spellings: ``targets`` maps node id to target (the result is
+        a dict of distances moved, keyed by node id), or ``targets`` is
+        an ``(M, 2)`` array for the distinct node ids ``ids`` (the
+        result is the ``(M,)`` array of distances moved).
 
-        Returns the distance actually moved, keyed by node id.
+        Each target is clamped into the free area independently (the
+        batched containment test picks the few targets outside, which
+        alone take ``nearest_free_point``), the node moves there, and
+        its ``distance_traveled`` grows by ``math.hypot`` of the step,
+        bitwise as ``Node.move_to`` adds it.  The cached spatial grid
+        and connectivity graph are invalidated a single time at the
+        end: the deployers' synchronous end-of-round move is the
+        intended caller, and no neighbourhood query happens mid-batch.
         """
-        moved: Dict[int, float] = {}
-        for node_id, new_position in targets.items():
-            node = self.node(node_id)
-            target = (float(new_position[0]), float(new_position[1]))
-            if clamp_to_region and not self.region.contains(target):
-                target = self.region.nearest_free_point(target)
-            moved[node_id] = node.move_to(target)
-        if moved:
-            self._invalidate()
+        if ids is None:
+            keys = np.fromiter(targets.keys(), dtype=np.intp, count=len(targets))
+            xy = np.array(list(targets.values()), dtype=float).reshape(-1, 2)
+            moved = self._move_rows(keys, xy, clamp_to_region)
+            return dict(zip(keys.tolist(), moved.tolist()))
+        return self._move_rows(
+            np.asarray(ids, dtype=np.intp),
+            np.array(targets, dtype=float).reshape(-1, 2),
+            clamp_to_region,
+        )
+
+    def _move_rows(
+        self, ids: np.ndarray, xy: np.ndarray, clamp_to_region: bool
+    ) -> np.ndarray:
+        """:meth:`apply_moves` on arrays."""
+        if ids.size == 0:
+            return np.zeros(0)
+        if ids.min() < 0 or ids.max() >= len(self.columns):
+            raise IndexError("node id out of range")
+        if clamp_to_region:
+            xy = self.region.nearest_free_points(xy)
+        columns = self.columns
+        old = columns.positions[ids]
+        moved = hypot_exact(old[:, 0] - xy[:, 0], old[:, 1] - xy[:, 1])
+        columns.positions[ids] = xy
+        columns.distance_traveled[ids] += moved
+        self._invalidate()
         return moved
 
     def set_sensing_range(self, node_id: int, sensing_range: float) -> None:
@@ -159,24 +192,24 @@ class SensorNetwork:
     # ------------------------------------------------------------------
     def _spatial_grid(self) -> SpatialGrid:
         if self._grid_cache is None:
-            self._grid_cache = SpatialGrid(self.positions(), cell_size=max(self.comm_range, 1e-6))
+            self._grid_cache = SpatialGrid(
+                self.columns.positions, cell_size=max(self.comm_range, 1e-6)
+            )
         return self._grid_cache
 
     def one_hop_neighbors(self, node_id: int) -> List[int]:
         """The paper's ``N(n_i)``: alive nodes within the transmission range."""
         node = self.node(node_id)
         candidates = self._spatial_grid().query_radius(node.position, self.comm_range)
-        return [
-            j
-            for j in candidates
-            if j != node_id and self.nodes[j].alive
-        ]
+        alive = self.columns.alive
+        return [j for j in candidates if j != node_id and alive[j]]
 
     def nodes_within(self, node_id: int, radius: float) -> List[int]:
         """Alive nodes within Euclidean ``radius`` of the node (the ring ``N(n_i, rho)``)."""
         node = self.node(node_id)
         candidates = self._spatial_grid().query_radius(node.position, radius)
-        return [j for j in candidates if j != node_id and self.nodes[j].alive]
+        alive = self.columns.alive
+        return [j for j in candidates if j != node_id and alive[j]]
 
     def hop_neighbors(self, node_id: int, hops: int) -> List[int]:
         """Alive nodes reachable within ``hops`` hops on the communication graph."""
@@ -316,7 +349,8 @@ class SensorNetwork:
 
         Nodes are placed uniformly at random in the square of side
         ``cluster_fraction * bbox_extent`` anchored at the region's
-        bottom-left bounding-box corner (intersected with the free area).
+        bottom-left bounding-box corner (intersected with the free area),
+        by :meth:`Region.rejection_sample` with at most 100,000 attempts.
         """
         if not 0 < cluster_fraction <= 1.0:
             raise ValueError("cluster_fraction must be in (0, 1]")
@@ -324,16 +358,9 @@ class SensorNetwork:
             rng = np.random.default_rng()
         xmin, ymin, xmax, ymax = region.bbox
         side = cluster_fraction * max(xmax - xmin, ymax - ymin)
-        points: List[Point] = []
-        attempts = 0
-        while len(points) < count and attempts < 100000:
-            attempts += 1
-            p = (
-                float(rng.uniform(xmin, xmin + side)),
-                float(rng.uniform(ymin, ymin + side)),
-            )
-            if region.contains(p):
-                points.append(p)
+        points = region.rejection_sample(
+            rng, (xmin, ymin), (xmin + side, ymin + side), count, 100000
+        )
         if len(points) < count:
             raise RuntimeError(
                 "could not place the corner cluster inside the free area; "

@@ -3,7 +3,8 @@
 :class:`BatchedRegionContainment` answers ``Region.contains`` for whole
 sample batches.  It sits in the regions layer because ``Region`` itself
 samples through it (:meth:`~repro.regions.region.Region.random_points`);
-the distributed runtime above uses it for Algorithm 2's circle checks.
+above it, the distributed runtime uses it for Algorithm 2's circle
+checks and the move stage for its region clamp.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.geometry.primitives import EPS, Point
+
+#: Half-width, in ulps of ``eps``, of the band of edge distances whose
+#: boundary decision is re-made by the scalar test: ``np.hypot`` and
+#: the scalar test's ``math.hypot`` differ by at most one ulp.
+_BAND_ULPS = 4
 
 
 class _PolygonArrays:
@@ -36,16 +42,19 @@ class _PolygonArrays:
         # the point-to-endpoint branch instead.
         self.seg_len_sq = np.where(self.degenerate, 1.0, seg_len_sq)
 
-    def on_boundary(self, xs: np.ndarray, ys: np.ndarray, eps: float) -> np.ndarray:
-        """Per-sample "within eps of any edge", matching the scalar test.
+    def on_boundary(self, xs: np.ndarray, ys: np.ndarray, eps: float):
+        """Per-sample "within eps of any edge", and where that is unsure.
 
         Elementwise the arithmetic is ``point_segment_distance``'s —
-        projection parameter, clamp, foot point, hypot — so the decision
-        agrees with the scalar boundary test (``np.hypot`` 1-ulp
-        latitude aside, which only matters for points exactly ``eps``
-        from an edge).
+        projection parameter, clamp, foot point, hypot — except that
+        ``np.hypot`` may differ from the scalar ``math.hypot`` by one
+        ulp.  So the verdict is exact except for samples with an edge
+        distance within a few ulps of ``eps``; the second mask flags
+        those, for the caller to re-decide with the scalar test.
         """
-        return (self.edge_distances(xs, ys) <= eps).any(axis=1)
+        dist = self.edge_distances(xs, ys)
+        band = _BAND_ULPS * np.spacing(eps)
+        return (dist <= eps).any(axis=1), (np.abs(dist - eps) <= band).any(axis=1)
 
     def edge_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """``(samples, edges)`` point-to-segment distances (``on_boundary``'s)."""
@@ -88,28 +97,38 @@ class BatchedRegionContainment:
     Precomputes the edge arrays of the outer boundary and every hole
     once; :meth:`contains` then answers an entire batch of points with
     a handful of broadcast operations while reproducing the scalar
-    decision structure bit for bit: a point is contained when it is on
-    (or ray-cast inside) the outer polygon and neither strictly inside
-    nor... precisely, ``point_in_polygon(p, outer,
-    include_boundary=True) and not any(point_in_polygon(p, hole,
-    include_boundary=False))`` — boundary points of the outer polygon
-    count as inside, boundary points of a hole count as *outside* the
-    hole (hence still free).
+    decision ``point_in_polygon(p, outer, include_boundary=True) and
+    not any(point_in_polygon(p, hole, include_boundary=False))`` —
+    boundary points of the outer polygon count as inside, boundary
+    points of a hole count as *outside* the hole (hence still free).
+    The few samples whose boundary test sits within float noise of
+    ``eps`` take the scalar test itself, so every verdict is exact.
     """
 
-    def __init__(self, region, eps: float = 1e-9) -> None:
-        self.eps = eps
+    #: Boundary tolerance; ``Region.contains``'s (``point_in_polygon``'s default).
+    eps = EPS
+
+    def __init__(self, region) -> None:
+        self._region = region
         self._outer = _PolygonArrays(region.outer)
         self._holes = [_PolygonArrays(hole) for hole in region.holes]
 
     def contains(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Boolean free-area mask for the sample points ``(xs, ys)``."""
-        inside = self._outer.on_boundary(xs, ys, self.eps) | self._outer.ray_cast(
-            xs, ys
-        )
+        """Boolean free-area mask for the sample points ``(xs, ys)``.
+
+        Samples whose distance to some edge lies within a few ulps of
+        ``eps`` (where ``np.hypot`` could tip the boundary test) are
+        re-decided one by one with the scalar ``Region.contains``.
+        """
+        on_outer, unsure = self._outer.on_boundary(xs, ys, self.eps)
+        inside = on_outer | self._outer.ray_cast(xs, ys)
         for hole in self._holes:
-            in_hole = ~hole.on_boundary(xs, ys, self.eps) & hole.ray_cast(xs, ys)
-            inside &= ~in_hole
+            on_hole, unsure_hole = hole.on_boundary(xs, ys, self.eps)
+            inside &= ~(~on_hole & hole.ray_cast(xs, ys))
+            unsure |= unsure_hole
+        contains = self._region.contains
+        for i in np.nonzero(unsure)[0].tolist():
+            inside[i] = contains((float(xs[i]), float(ys[i])))
         return inside
 
     def clearance(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -52,6 +52,7 @@ class Region:
                 raise ValueError("each hole needs at least 3 vertices")
         self.name = name
         self._convex_pieces: Optional[List[Polygon]] = None
+        self._containment: Optional[BatchedRegionContainment] = None
 
     # ------------------------------------------------------------------
     # Basic measures
@@ -89,6 +90,12 @@ class Region:
             if point_in_polygon(point, hole, include_boundary=not include_boundary):
                 return False
         return True
+
+    def containment(self) -> BatchedRegionContainment:
+        """:meth:`contains` over whole point arrays, decision-exact (cached)."""
+        if self._containment is None:
+            self._containment = BatchedRegionContainment(self)
+        return self._containment
 
     def distance_to_boundary(self, point: Point) -> float:
         """Distance from ``point`` to the nearest free-area boundary edge.
@@ -133,6 +140,19 @@ class Region:
             # step); fall back to the nearest outer vertex.
             best_point = min(self.outer, key=lambda v: distance(point, v))
         return best_point
+
+    def nearest_free_points(self, xy: np.ndarray) -> np.ndarray:
+        """:meth:`nearest_free_point` of every row of an ``(M, 2)`` array.
+
+        Rows in the free area come back unchanged; the batched
+        containment test picks the rest, and only those take the scalar
+        projection.  Returns a new array.
+        """
+        out = np.array(xy, dtype=float).reshape(-1, 2)
+        outside = ~self.containment().contains(out[:, 0], out[:, 1])
+        for i in np.nonzero(outside)[0].tolist():
+            out[i] = self.nearest_free_point((float(out[i, 0]), float(out[i, 1])))
+        return out
 
     # ------------------------------------------------------------------
     # Decomposition and clipping
@@ -182,38 +202,57 @@ class Region:
     def random_points(
         self, count: int, rng: Optional[np.random.Generator] = None
     ) -> List[Point]:
-        """Uniformly random points in the free area (rejection sampling).
+        """Uniformly random points in the free area.
 
-        Each attempt draws ``x`` then ``y`` from the bounding box.  The
-        attempts run in batches of the still-needed count, tested with
-        :class:`BatchedRegionContainment`; a batch never holds more
-        attempts than points still missing, so no draw is wasted and the
-        points and the generator's final state are exactly those of
-        one-attempt-at-a-time sampling.
+        :meth:`rejection_sample` over the bounding box, with up to
+        ``max(1000, 1000 * count)`` attempts.
         """
         if count < 0:
             raise ValueError("count must be non-negative")
         if rng is None:
             rng = np.random.default_rng()
         xmin, ymin, xmax, ymax = self.bbox
-        low = np.array([xmin, ymin])
-        high = np.array([xmax, ymax])
-        containment = BatchedRegionContainment(self)
-        points: List[Point] = []
-        attempts = 0
-        max_attempts = max(1000, 1000 * count)
-        while len(points) < count and attempts < max_attempts:
-            batch = min(count - len(points), max_attempts - attempts)
-            attempts += batch
-            xy = rng.uniform(np.tile(low, batch), np.tile(high, batch))
-            xs, ys = xy[0::2], xy[1::2]
-            keep = containment.contains(xs, ys)
-            points.extend(zip(xs[keep].tolist(), ys[keep].tolist()))
+        points = self.rejection_sample(
+            rng, (xmin, ymin), (xmax, ymax), count, max(1000, 1000 * count)
+        )
         if len(points) < count:
             raise RuntimeError(
                 "rejection sampling failed to place the requested number of "
                 "points; the free area is too small relative to its bounding box"
             )
+        return points
+
+    def rejection_sample(
+        self,
+        rng: np.random.Generator,
+        low: Point,
+        high: Point,
+        count: int,
+        max_attempts: int,
+    ) -> List[Point]:
+        """Up to ``count`` uniform points of the box ``[low, high)`` in the free area.
+
+        Each attempt draws ``x`` then ``y`` and keeps the point when
+        :meth:`contains` holds, until ``count`` points are kept or
+        ``max_attempts`` attempts are spent.  The attempts run in
+        batches of the still-needed count, tested with
+        :class:`BatchedRegionContainment`; a batch never holds more
+        attempts than points still missing, so no draw is wasted and the
+        points and the generator's final state are exactly those of
+        one-attempt-at-a-time sampling.
+        """
+        low_xy = np.array([low[0], low[1]], dtype=float)
+        high_xy = np.array([high[0], high[1]], dtype=float)
+        containment = self.containment()
+        points: List[Point] = []
+        attempts = 0
+        while len(points) < count and attempts < max_attempts:
+            batch = min(count - len(points), max_attempts - attempts)
+            attempts += batch
+            xy = rng.uniform(np.tile(low_xy, batch), np.tile(high_xy, batch))
+            xs, ys = xy[0::2], xy[1::2]
+            keep = containment.contains(xs, ys)
+            points.extend(zip(xs[keep].tolist(), ys[keep].tolist()))
         return points
 
     def vertices(self) -> List[Point]:

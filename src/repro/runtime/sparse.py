@@ -54,13 +54,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.engine.jit_kernels import segment_argsort, segment_ids
-from repro.engine.pieces import LazyRegions, materialize_pieces
+from repro.engine.pieces import LazyRegions, RegionVertices, materialize_pieces
 from repro.engine.sparse_kernels import clip_cells_batch, mec_batch
 from repro.geometry.primitives import Point
 from repro.network.neighbors import SpatialGrid
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.regions.containment import BatchedRegionContainment
 from repro.runtime.engines import (
     DistributedEngineRound,
     DistributedRoundEngine,
@@ -272,7 +271,7 @@ class SparseDistributedEngine(DistributedRoundEngine):
         )
         # Vectorised free-area containment for the circle samples,
         # decision-exact against region.contains.
-        self._containment = BatchedRegionContainment(network.region)
+        self._containment = network.region.containment()
 
     # ------------------------------------------------------------------
     def run_round(self, round_index: int) -> DistributedEngineRound:
@@ -284,7 +283,7 @@ class SparseDistributedEngine(DistributedRoundEngine):
         step = gamma * config.ring_granularity
         max_radius = 2.0 * area.diameter + step
 
-        positions = np.asarray(network.positions(), dtype=float)
+        positions = network.positions_array()
         alive = network.alive_mask()
         alive_rows = np.nonzero(alive)[0].astype(np.int64)
         if alive_rows.size == 0:
@@ -907,7 +906,6 @@ class SparseDistributedEngine(DistributedRoundEngine):
         rho_final: np.ndarray,
         area_pieces,
     ) -> DistributedEngineRound:
-        network = self.network
         config = self.config
         k = config.k
         n_alive = alive_rows.shape[0]
@@ -933,8 +931,9 @@ class SparseDistributedEngine(DistributedRoundEngine):
                 k,
             )
 
-        # Region polygons (read by the deployer's result() and the
-        # compat agent surface) are materialised lazily on first access.
+        # Region polygons (read by the compat agent surface; result()
+        # reads the flat vertices) are materialised lazily on first
+        # access, sited where this round saw each node.
         def build_regions() -> Dict[int, DominatingRegion]:
             pieces_per_row = materialize_pieces(
                 vx, vy, piece_indptr, piece_owner, n_alive
@@ -943,15 +942,13 @@ class SparseDistributedEngine(DistributedRoundEngine):
             for row in range(n_alive):
                 node_id = int(alive_rows[row])
                 built[node_id] = DominatingRegion(
-                    site=network.nodes[node_id].position,
+                    site=(float(sx[row]), float(sy[row])),
                     k=k,
                     pieces=pieces_per_row[row],
                     competitors_used=int(known_count[row]),
                     search_radius=float(rho_final[row]),
                 )
             return built
-
-        regions: Dict[int, DominatingRegion] = LazyRegions(build_regions)
 
         # Vectorised summary: Chebyshev centers via mec_batch, ranges
         # and displacements via ragged reductions, move proposals with
@@ -964,6 +961,9 @@ class SparseDistributedEngine(DistributedRoundEngine):
             vert_indptr = np.concatenate(
                 ([0], np.cumsum(owner_vert_counts))
             ).astype(np.int64)
+            regions: Dict[int, DominatingRegion] = LazyRegions(
+                build_regions, RegionVertices(alive_rows, vx, vy, vert_indptr)
+            )
             cx, cy, radius = mec_batch(vx, vy, vert_indptr)
             empty = owner_vert_counts == 0
             cx = np.where(empty, sx, cx)

@@ -10,7 +10,8 @@ returns their results in input order.  Two orthogonal features:
   experiments sharing a cell (e.g. Figures 5 and 6 run the identical
   deployments) compute it once.
 * **Worker pool** — ``jobs > 1`` fans the missing cells out over a
-  ``multiprocessing`` pool.  Scenarios cross the process boundary as
+  ``multiprocessing`` pool of at most one worker per usable CPU.
+  Scenarios cross the process boundary as
   canonical dicts and every pipeline is a pure function of its spec, so
   the parallel results are bit-identical to the serial ones; ``jobs=1``
   (the default) runs in-process with no pool at all.
@@ -44,6 +45,14 @@ _CACHE_HITS = _metrics.counter(
 _CACHE_MISSES = _metrics.counter(
     "repro_sweep_cache_misses_total", "Sweep cells computed (cache misses)"
 )
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on: more pool workers than that only queue."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        return os.cpu_count() or 1
 
 
 def _execute_spec_dict(payload: Tuple[str, Dict[str, Any]]) -> Tuple[str, Dict[str, Any]]:
@@ -111,7 +120,8 @@ class SweepRunner:
     Args:
         cache_dir: directory of the content-addressed result cache;
             ``None`` disables caching.
-        jobs: worker processes; 1 (the default) runs serially in-process.
+        jobs: worker processes, capped at the usable CPUs; 1 (the
+            default) runs serially in-process.
         checkpoint_dir: directory for per-cell mid-run checkpoints; with
             ``checkpoint_every`` set, every deployment cell periodically
             writes a full checkpoint named by its scenario digest, and a
@@ -243,8 +253,9 @@ class SweepRunner:
             with self._checkpoint_env(), _trace.span(
                 "sweep", cells=len(work), jobs=self.jobs
             ) as sweep_span:
-                if self.jobs > 1 and len(work) > 1:
-                    with multiprocessing.Pool(min(self.jobs, len(work))) as pool:
+                workers = min(self.jobs, len(work), _usable_cores())
+                if workers > 1:
+                    with multiprocessing.Pool(workers) as pool:
                         if _trace.tracing_active():
                             # Workers trace into private collectors and
                             # return their rows; stitch each cell's

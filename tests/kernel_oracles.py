@@ -1,13 +1,22 @@
-"""Plain-loop oracles of the kernel seams in ``repro.engine.jit_kernels``.
+"""Plain-loop oracles of the kernel seams and of the deployers' move stage.
 
-Each function is a scalar, per-piece (or per-row) rewrite of one seam's
-NumPy body, using the same IEEE-754 operations in the same grouping.
-They write into caller-provided output arrays.  ``test_kernel_tiers.py``
-compares them with the seams, bitwise: half-plane values, first
-events, clip vertices and ring compression.
+Each kernel function is a scalar, per-piece (or per-row) rewrite of one
+seam's NumPy body in ``repro.engine.jit_kernels``, using the same
+IEEE-754 operations in the same grouping.  They write into
+caller-provided output arrays.  ``test_kernel_tiers.py`` compares them
+with the seams, bitwise: half-plane values, first events, clip vertices
+and ring compression.
+
+The move-stage oracles at the end are the per-node loops the deployers
+ran before their move stage and ``result()`` became array code: the
+scalar ``MobilityModel.constrain``, the per-node ``apply_moves`` and
+the ``DominatingRegion.circumradius`` finalize.
+``test_move_finalize.py`` holds the array code to them, bitwise.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -214,3 +223,76 @@ def _clip_crossing_loops(
             far_n[p] = _compress_ring_slot(far_x, far_y, base, mfar, eps)
         else:
             far_n[p] = 0
+
+
+# ----------------------------------------------------------------------
+# Move stage and finalize
+# ----------------------------------------------------------------------
+def constrain_scalar(mobility, region, current, target):
+    """``MobilityModel.constrain`` as the scalar per-node code it was."""
+    step = math.hypot(current[0] - target[0], current[1] - target[1])
+    constrained = target
+    if mobility.max_step is not None and step > mobility.max_step:
+        fraction = mobility.max_step / step
+        constrained = (
+            current[0] + fraction * (target[0] - current[0]),
+            current[1] + fraction * (target[1] - current[1]),
+        )
+    if mobility.keep_in_region and not region.contains(constrained):
+        constrained = region.nearest_free_point(constrained)
+    return constrained
+
+
+def apply_moves_scalar(network, targets, clamp_to_region=True):
+    """``SensorNetwork.apply_moves`` as one ``Node.move_to`` per entry."""
+    moved = {}
+    for node_id, new_position in targets.items():
+        node = network.node(node_id)
+        target = (float(new_position[0]), float(new_position[1]))
+        if clamp_to_region and not network.region.contains(target):
+            target = network.region.nearest_free_point(target)
+        moved[node_id] = node.move_to(target)
+    if moved:
+        network._invalidate()
+    return moved
+
+
+def move_to_centers_scalar(network, mobility, centers, alpha, epsilon):
+    """The centralized deployer's per-node move loop."""
+    moves = {}
+    for node_id, center in centers.items():
+        node = network.node(node_id)
+        position = node.position
+        if math.hypot(position[0] - center[0], position[1] - center[1]) <= epsilon:
+            continue
+        target = (
+            position[0] + alpha * (center[0] - position[0]),
+            position[1] + alpha * (center[1] - position[1]),
+        )
+        moves[node_id] = constrain_scalar(mobility, network.region, position, target)
+    return apply_moves_scalar(network, moves)
+
+
+def move_to_targets_scalar(network, mobility, proposed):
+    """The distributed deployer's per-node move loop."""
+    moves = {
+        node_id: constrain_scalar(
+            mobility, network.region, network.node(node_id).position, target
+        )
+        for node_id, target in proposed.items()
+    }
+    return apply_moves_scalar(network, moves)
+
+
+def final_ranges_scalar(network, regions):
+    """``result()``'s per-node ``DominatingRegion.circumradius`` loop."""
+    ranges = []
+    for node in network.nodes:
+        region = regions.get(node.node_id)
+        if not node.alive or region is None:
+            ranges.append(0.0)
+            continue
+        r = region.circumradius(node.position)
+        network.set_sensing_range(node.node_id, r)
+        ranges.append(r)
+    return ranges

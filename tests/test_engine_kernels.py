@@ -215,7 +215,7 @@ class TestNodeArrayState:
         network = SensorNetwork.from_random(square, 10, comm_range=0.3, rng=rng)
         network.set_sensing_range(3, 0.25)
         network.kill_node(7)
-        state = network.array_state()
+        state = NodeArrayState.from_network(network)
         assert isinstance(state, NodeArrayState)
         assert len(state) == 10
         assert state.positions.shape == (10, 2)
@@ -223,32 +223,21 @@ class TestNodeArrayState:
         assert state.sensing_ranges[3] == 0.25
         assert list(state.alive_node_ids()) == [i for i in range(10) if i != 7]
         assert state.alive_positions().shape == (9, 2)
-        # mutate array-side and write back
+        # a snapshot is a copy: editing it leaves the network alone
         state.positions[0] = (0.5, 0.5)
-        state.sensing_ranges[1] = 0.42
-        state.apply_to_network(network)
-        assert network.node(0).position == (0.5, 0.5)
-        assert network.node(1).sensing_range == 0.42
-        assert network.node(0).distance_traveled > 0.0
+        assert network.node(0).position != (0.5, 0.5)
 
     def test_sensing_energy_vectorized(self, square, rng):
         network = SensorNetwork.from_random(square, 6, comm_range=0.3, rng=rng)
         for node in network.nodes:
             node.sensing_range = 0.1 * (node.node_id + 1)
-        state = network.array_state()
+        state = NodeArrayState.from_network(network)
         expected = [n.sensing_energy() for n in network.nodes]
         assert np.allclose(state.sensing_energy(), expected, atol=1e-15)
 
-    def test_apply_rejects_mismatched_size(self, square, rng):
-        network = SensorNetwork.from_random(square, 5, comm_range=0.3, rng=rng)
-        state = network.array_state()
-        other = SensorNetwork.from_random(square, 6, comm_range=0.3, rng=rng)
-        with pytest.raises(ValueError):
-            state.apply_to_network(other)
-
     def test_copy_is_independent(self, square, rng):
         network = SensorNetwork.from_random(square, 4, comm_range=0.3, rng=rng)
-        state = network.array_state()
+        state = NodeArrayState.from_network(network)
         clone = state.copy()
         clone.positions[0] = (9.0, 9.0)
         assert state.positions[0][0] != 9.0

@@ -8,7 +8,37 @@ import pytest
 from repro.geometry.primitives import distance
 from repro.network.neighbors import SpatialGrid, pairwise_distances
 from repro.network.network import SensorNetwork
-from repro.regions.shapes import figure8_region_one, unit_square
+from repro.regions.region import Region
+from repro.regions.shapes import (
+    figure8_region_one,
+    figure8_region_two,
+    l_shaped_region,
+    unit_square,
+)
+
+
+def _scalar_corner_cluster(region, count, cluster_fraction, rng):
+    """``from_corner_cluster``'s one-attempt-at-a-time rejection loop."""
+    xmin, ymin, xmax, ymax = region.bbox
+    side = cluster_fraction * max(xmax - xmin, ymax - ymin)
+    points = []
+    attempts = 0
+    while len(points) < count and attempts < 100000:
+        attempts += 1
+        p = (
+            float(rng.uniform(xmin, xmin + side)),
+            float(rng.uniform(ymin, ymin + side)),
+        )
+        if region.contains(p):
+            points.append(p)
+    if len(points) < count:
+        raise RuntimeError("could not place the corner cluster")
+    return points
+
+
+#: Upper-right triangle: the bounding box's bottom-left corner is far
+#: outside it, so a corner cluster only reaches it near (f, f), f > 0.5.
+_TRIANGLE = Region([(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
 
 
 class TestConstruction:
@@ -36,6 +66,39 @@ class TestConstruction:
             square, 30, cluster_fraction=0.2, rng=np.random.default_rng(1)
         )
         assert all(x <= 0.2 + 1e-9 and y <= 0.2 + 1e-9 for x, y in net.positions())
+
+    @pytest.mark.parametrize(
+        "region, fraction",
+        [
+            (unit_square(), 0.15),
+            (figure8_region_one(), 0.5),
+            (figure8_region_two(), 0.3),
+            (l_shaped_region(), 1.0),
+            (_TRIANGLE, 0.6),
+        ],
+        ids=["square", "fig8-holes", "fig8-l-holes", "l-shape", "low-acceptance"],
+    )
+    @pytest.mark.parametrize("count", [1, 9, 250])
+    def test_corner_cluster_matches_one_attempt_at_a_time(self, region, fraction, count):
+        fast_rng = np.random.default_rng(count + 5)
+        slow_rng = np.random.default_rng(count + 5)
+        net = SensorNetwork.from_corner_cluster(
+            region, count, cluster_fraction=fraction, rng=fast_rng
+        )
+        assert net.positions() == _scalar_corner_cluster(region, count, fraction, slow_rng)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+    def test_corner_cluster_attempt_cap_matches_one_attempt_at_a_time(self):
+        # Acceptance ~0.3%: 100,000 attempts place ~300 of 1000 nodes.
+        fast_rng = np.random.default_rng(21)
+        slow_rng = np.random.default_rng(21)
+        with pytest.raises(RuntimeError, match="corner cluster"):
+            SensorNetwork.from_corner_cluster(
+                _TRIANGLE, 1000, cluster_fraction=0.52, rng=fast_rng
+            )
+        with pytest.raises(RuntimeError, match="corner cluster"):
+            _scalar_corner_cluster(_TRIANGLE, 1000, 0.52, slow_rng)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
     def test_corner_cluster_validation(self, square):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.polygon import polygon_area
+from repro.regions.containment import BatchedRegionContainment
 from repro.regions.region import Region
 from repro.regions.shapes import (
     figure8_region_one,
@@ -83,6 +84,84 @@ class TestContainment:
     def test_boundary_point(self, square):
         assert square.contains((0.0, 0.5))
         assert not square.contains((0.0, 0.5), include_boundary=False)
+
+
+def _ulp_walk(x, y, axis, steps):
+    """Points stepping ``x`` (axis 0) or ``y`` (axis 1) one ulp at a time."""
+    points = []
+    for k in range(-steps, steps + 1):
+        p = [x, y]
+        for _ in range(abs(k)):
+            p[axis] = math.nextafter(p[axis], math.inf if k > 0 else -math.inf)
+        points.append(tuple(p))
+    return points
+
+
+def _batched(region, points):
+    xy = np.array(points, dtype=float)
+    return BatchedRegionContainment(region).contains(xy[:, 0], xy[:, 1]).tolist()
+
+
+class TestBatchedContainmentExact:
+    """The batched test equals ``Region.contains`` point for point.
+
+    Points exactly ``eps`` from an edge are where ``np.hypot`` (batched)
+    and ``math.hypot`` (scalar) can fall on opposite sides of the
+    boundary test; the batched code re-decides that band with the
+    scalar test.
+    """
+
+    EPS = 1e-9
+
+    # (dx, dy) offsets from a corner whose two hypots straddle eps:
+    # math.hypot <= eps < np.hypot, then np.hypot <= eps < math.hypot.
+    STRADDLE = [
+        (6.767573893959422e-10, 7.36206109658151e-10),
+        (5.459588949427442e-10, 8.378119628131947e-10),
+    ]
+
+    def test_straddling_offsets_really_disagree(self):
+        for dx, dy in self.STRADDLE:
+            assert (math.hypot(dx, dy) <= self.EPS) != (float(np.hypot(dx, dy)) <= self.EPS)
+
+    def test_unit_square_corner_where_hypots_disagree(self, square):
+        # Outside the corner (0, 0): on the boundary iff math.hypot <= eps.
+        points = [(-dx, -dy) for dx, dy in self.STRADDLE]
+        expected = [square.contains(p) for p in points]
+        assert expected == [True, False]
+        assert _batched(square, points) == expected
+
+    @pytest.mark.parametrize("edge_y", [0.0, 1.0])
+    def test_unit_square_edges_ulp_by_ulp(self, square, edge_y):
+        outward = -1.0 if edge_y == 0.0 else 1.0
+        y = edge_y + outward * self.EPS
+        points = _ulp_walk(0.3, y, axis=1, steps=40)
+        points += _ulp_walk(1.0 + self.EPS, 0.7, axis=0, steps=40)
+        expected = [square.contains(p) for p in points]
+        assert True in expected and False in expected
+        assert _batched(square, points) == expected
+
+    @pytest.mark.parametrize("make_region", [figure8_region_one, figure8_region_two])
+    def test_figure8_hole_edges_ulp_by_ulp(self, make_region):
+        region = make_region()
+        points = []
+        for hole in region.holes:
+            xs = [v[0] for v in hole]
+            ys = [v[1] for v in hole]
+            x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+            mid_x, mid_y = (x0 + x1) / 2, (y0 + y1) / 2
+            # Just inside each hole edge, about eps from it.
+            points += _ulp_walk(mid_x, y0 + self.EPS, axis=1, steps=40)
+            points += _ulp_walk(mid_x, y1 - self.EPS, axis=1, steps=40)
+            points += _ulp_walk(x0 + self.EPS, mid_y, axis=0, steps=40)
+            points += _ulp_walk(x1 - self.EPS, mid_y, axis=0, steps=40)
+            # And diagonally into each corner.
+            c = self.EPS / math.sqrt(2.0)
+            points += _ulp_walk(x0 + c, y0 + c, axis=0, steps=40)
+            points += _ulp_walk(x1 - c, y1 - c, axis=1, steps=40)
+        expected = [region.contains(p) for p in points]
+        assert True in expected and False in expected
+        assert _batched(region, points) == expected
 
 
 class TestDistancesAndProjection:

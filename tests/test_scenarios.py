@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.scenarios.sweep as sweep_module
 from repro.core.config import LaacadConfig
 from repro.network.mobility import MobilityModel
 from repro.scenarios import (
@@ -212,7 +213,10 @@ class TestSweepRunner:
         report = runner.run(specs)
         assert (report.hits, report.misses) == (1, 1)
 
-    def test_parallel_results_equal_serial(self, tmp_path):
+    def test_parallel_results_equal_serial(self, tmp_path, monkeypatch):
+        # Pool size is capped at the usable CPUs; pretend there are two
+        # so the pooled path runs on a one-CPU host too.
+        monkeypatch.setattr(sweep_module, "_usable_cores", lambda: 2)
         specs = self._grid()
         serial = SweepRunner(jobs=1).run(specs)
         parallel = SweepRunner(jobs=2).run(specs)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.scenarios.sweep as sweep_module
 from repro.core.config import LaacadConfig
 from repro.engine import make_engine
 from repro.network.network import SensorNetwork
@@ -119,7 +120,10 @@ class TestSweepTracing:
         base = make_scenario("corner_cluster", node_count=10, max_rounds=6)
         return expand_grid(base, {"k": [1, 2]})
 
-    def test_traced_pooled_sweep_matches_serial_and_stitches_spans(self):
+    def test_traced_pooled_sweep_matches_serial_and_stitches_spans(self, monkeypatch):
+        # Pool size is capped at the usable CPUs; pretend there are two
+        # so the pooled path runs on a one-CPU host too.
+        monkeypatch.setattr(sweep_module, "_usable_cores", lambda: 2)
         specs = self._specs()
         serial = SweepRunner(jobs=1).run(specs)
         with trace.tracing() as collector:
