@@ -161,13 +161,18 @@ class Deployer(abc.ABC):
         """The synchronous move: nodes ``ids`` head for ``targets`` at once.
 
         The mobility model constrains every ``(M, 2)`` target, then one
-        :meth:`SensorNetwork.apply_moves` clamps and applies them all,
-        so the spatial caches are invalidated once, not per node.
+        :meth:`SensorNetwork.apply_moves` applies them all, so the
+        spatial caches are invalidated once, not per node.  The move
+        clamps into the free area only when the model keeps nodes there
+        (``keep_in_region``); otherwise a node may leave it.
         """
         network = self.network
+        mobility = self.mobility
         current = network.columns.positions[ids]
-        constrained = self.mobility.constrain_many(network.region, current, targets)
-        network.apply_moves(constrained, clamp_to_region=True, ids=ids)
+        constrained = mobility.constrain_many(network.region, current, targets)
+        network.apply_moves(
+            constrained, clamp_to_region=mobility.keep_in_region, ids=ids
+        )
 
     def _final_sensing_ranges(self, regions: Dict[int, Any]) -> List[float]:
         """Size every alive node to its region from where it stands.

@@ -80,13 +80,14 @@ CHUNK_BYTES_ENV = "REPRO_CHUNK_BYTES"
 _DEFAULT_CHUNK_BYTES = 16 << 20  # 16 MiB
 
 #: Environment knob selecting the intra-round worker count of the
-#: chunked kernel seams.  Default: one worker per available core
-#: (respecting CPU affinity / container quotas where the platform
-#: exposes them); ``1`` disables the executor entirely and runs the
-#: exact serial dispatch path.  Every parallel site partitions its work
-#: into per-item-independent chunks with disjoint output slices (or a
-#: chunk-ordered concatenation), so the computed floats are identical
-#: for every worker count — the knob changes wall-clock only.
+#: chunked kernel seams.  Default ``1``: the executor is off and the
+#: exact serial dispatch path runs (threads never overlapped on a
+#: 2-core box, and they compete with the row-shard helper process for
+#: the second core — DESIGN.md "Intra-round threading").  Every
+#: parallel site partitions its work into per-item-independent chunks
+#: with disjoint output slices (or a chunk-ordered concatenation), so
+#: the computed floats are identical for every worker count — the knob
+#: changes wall-clock only.
 KERNEL_THREADS_ENV = "REPRO_KERNEL_THREADS"
 
 
@@ -125,12 +126,11 @@ def kernel_threads() -> int:
     """Resolve ``REPRO_KERNEL_THREADS`` to the effective worker count.
 
     Read per call (not cached) so tests and benchmarks can flip the
-    knob at runtime.  Unset/empty means one worker per available core;
-    ``1`` is the serial dispatch path, byte-for-byte today's behaviour.
+    knob at runtime.  Unset/empty means ``1``, the serial dispatch path.
     """
     raw = os.environ.get(KERNEL_THREADS_ENV, "").strip()
     if not raw:
-        return _available_cores()
+        return 1
     try:
         value = int(raw)
     except ValueError:

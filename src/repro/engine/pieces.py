@@ -40,6 +40,7 @@ __all__ = [
     "RegionVertices",
     "materialize_pieces",
     "region_vertices",
+    "select_pieces",
     "splice_pieces",
     "vertex_circumradii",
 ]
@@ -116,16 +117,7 @@ class PieceAccumulator:
         gather); otherwise the arrays are appended as-is, with no
         materialisation at all.
         """
-        counts = np.diff(piece_indptr)
-        if rows is None:
-            self.extend(vx, vy, counts, owners)
-            return
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return
-        sub_counts = counts[rows]
-        gidx = ragged_indices(piece_indptr[:-1][rows], sub_counts)
-        self.extend(vx[gidx], vy[gidx], sub_counts, owners[rows])
+        self.extend(*select_pieces(vx, vy, piece_indptr, owners, rows))
 
     def finalize(self, n_rows: int) -> EmittedPieces:
         """Regroup every emitted piece by ascending owner row."""
@@ -155,6 +147,27 @@ class PieceAccumulator:
         np.add.at(vert_counts, piece_owner, pc)
         vert_indptr = np.concatenate(([0], np.cumsum(vert_counts))).astype(np.int64)
         return vx[gidx], vy[gidx], piece_indptr, piece_owner, vert_indptr
+
+
+def select_pieces(
+    vx: np.ndarray,
+    vy: np.ndarray,
+    piece_indptr: np.ndarray,
+    owners: np.ndarray,
+    rows: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pieces ``rows`` of a ``clip_cells_batch`` CSR block, as ``extend`` takes them.
+
+    Returns ``(vx, vy, counts, owners)``; with ``rows=None`` every piece,
+    the arrays as they are.
+    """
+    counts = np.diff(piece_indptr)
+    if rows is None:
+        return vx, vy, counts, owners
+    rows = np.asarray(rows, dtype=np.int64)
+    sub_counts = counts[rows]
+    gidx = ragged_indices(piece_indptr[:-1][rows], sub_counts)
+    return vx[gidx], vy[gidx], sub_counts, owners[rows]
 
 
 def splice_pieces(

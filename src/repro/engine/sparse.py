@@ -38,7 +38,11 @@ engine replaces both:
   <= _WHOLE_NETWORK_MAX``, one whole-network clip) recompute
   everything; a call with nothing moved (``result()`` then ``step()``)
   reuses the stored round outright.  DESIGN.md "Incremental rounds"
-  has the argument.
+  has the argument;
+* for the same reason the recomputed rows of a large round search in
+  two halves at once, one on a helper process
+  (:func:`~repro.engine.shard.split_rows` over :func:`_lemma1_rows`),
+  bitwise as one search.
 
 Every stage (dirty / query / candidates / kth / clip / finish / emit /
 summary) runs under a trace span of that name, so a traced run
@@ -57,11 +61,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import LaacadConfig
+from repro.engine import shard as _shard
 from repro.engine.arrays import NodeArrayState
 from repro.engine.base import EngineRound, register_engine, summarize_regions
 from repro.engine.batch import BatchedRoundEngine
@@ -73,6 +78,7 @@ from repro.engine.pieces import (
     PieceAccumulator,
     RegionVertices,
     materialize_pieces,
+    select_pieces,
     splice_pieces,
 )
 from repro.engine.sparse_kernels import clip_cells_batch, mec_batch
@@ -125,6 +131,189 @@ def _nearest_first(px, py, centers, cand, owners, counts):
     dy = py[cand] - py[centers][owners]
     order = segment_argsort(dx * dx + dy * dy, counts)
     return cand[order], np.hypot(dx, dy)[order]
+
+
+class _Lemma1Rows(NamedTuple):
+    """What :func:`_lemma1_rows` found for its rows.
+
+    ``frozen`` holds ``(level, vx, vy, counts, owners)`` per search
+    level that froze pieces (``PieceAccumulator.extend`` arguments,
+    owners as node rows); ``used`` and ``search_radius`` are per row,
+    in the order of the rows given; ``candidates`` is the number of
+    candidates the grid queries returned.
+    """
+
+    frozen: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    used: np.ndarray
+    search_radius: np.ndarray
+    candidates: int
+
+
+def _lemma1_rows(positions, rows, k, diameter, area_pieces, cell) -> _Lemma1Rows:
+    """The expanding-radius Lemma-1 search of ``rows``, level-synchronous.
+
+    A pure function of its arguments: each row's search reads only the
+    sites (``positions``) and its own state, so the search of any split
+    of ``rows`` gives bitwise the pieces, ``used`` and ``rho`` of the
+    whole — :func:`~repro.engine.shard.split_rows` runs it as two
+    halves, one on a helper process.  A row finishes at the same level
+    whatever rows it runs with, so the ``frozen`` chunks of two halves
+    merge level by level (:func:`_frozen_by_level`) into the chunks of
+    one call.
+    """
+    count = positions.shape[0]
+    px = np.ascontiguousarray(positions[:, 0])
+    py = np.ascontiguousarray(positions[:, 1])
+    grid = SpatialGrid(positions, cell_size=cell)
+    need = min(k, count - 1)
+    # Floor the start radius at two grid cells (~ twice the mean
+    # spacing, ~12 sites per disk) at every N, so the start
+    # population stays O(1).  The scalar schedule's 5%-of-diameter
+    # floor sweeps in O(N) competitors per node at high density,
+    # and at N < 400 lies under one node spacing, costing extra
+    # doubling levels.  A start that proves too small only costs
+    # doubling iterations, never changes the Lemma-1 fixed point;
+    # two cells reads the fewest candidates before re-clips at a
+    # doubled rho start to dominate (DESIGN.md "Candidate pairs from
+    # the spatial grid" has the sweep).
+    floor = max(2.0 * cell, EPS * 10)
+    max_needed = diameter * 2.0 + 1.0
+
+    frozen = []
+    candidates = 0
+    used = np.zeros(count, dtype=np.int64)
+    search_radius = np.zeros(count)
+    # Per-node search radius: starts at the floor and is raised to
+    # ``max(2 * kth-nearest, floor)`` as soon as a query disk holds
+    # enough candidates to read the kth-nearest distance off the
+    # sorted panel — the first query serves as the kth pre-pass.
+    rho = np.full(count, floor)
+    kth_known = np.zeros(count, dtype=bool)
+    pending = rows
+    level = -1
+    while pending.size:
+        level += 1
+        qrad = rho[pending].copy()
+        with _trace.span("query"):
+            cand, cand_indptr = grid.query_radius_many(positions[pending], qrad)
+        with _trace.span("candidates"):
+            counts_all = np.diff(cand_indptr)
+            candidates += cand.shape[0]
+            owners = segment_ids(counts_all, cand.shape[0])
+            cand, dist = _nearest_first(px, py, pending, cand, owners, counts_all)
+
+        unknown = ~kth_known[pending]
+        if unknown.any():
+            with _trace.span("kth"):
+                rows_u = np.nonzero(unknown)[0]
+                enough = counts_all[rows_u] >= need + 1
+                rows_e = rows_u[enough]
+                if rows_e.size:
+                    # The disk holds >= need+1 points (self incl.), so
+                    # the need+1 globally nearest are all inside it and
+                    # the kth distance reads straight off the sorted
+                    # panel.
+                    kth = dist[cand_indptr[rows_e] + need]
+                    rho[pending[rows_e]] = np.maximum(2.0 * kth, floor)
+                    kth_known[pending[rows_e]] = True
+                rho[pending[rows_u[~enough]]] *= 2.0
+
+        # A node can clip this iteration iff its kth-derived rho is
+        # known and covered by the radius actually queried; other nodes
+        # requery at their grown rho next iteration.
+        clippable = kth_known[pending] & (rho[pending] <= qrad)
+        act = np.nonzero(clippable)[0]
+        if act.size == 0:
+            continue
+        act_nodes = pending[act]
+        rho_act = rho[act_nodes]
+
+        with _trace.span("candidates"):
+            if act.size == pending.size:
+                sel_cand = cand
+                sel_dist = dist
+                sel_owner = owners
+            else:
+                gidx = ragged_indices(cand_indptr[act], counts_all[act])
+                sel_cand = cand[gidx]
+                sel_dist = dist[gidx]
+                sel_owner = segment_ids(counts_all[act], gidx.shape[0])
+            # The pre-filter is *strict* (`dist < rho`, self excluded) —
+            # the grid's inclusive boundary slack is filtered out here
+            # so the competitor sets match the batched engine's
+            # ``select_competitors`` exactly.
+            keep = (sel_dist < rho_act[sel_owner]) & (
+                sel_cand != act_nodes[sel_owner]
+            )
+            comp = sel_cand[keep]
+            comp_counts = np.bincount(sel_owner[keep], minlength=act.size)
+            comp_indptr = np.concatenate(([0], np.cumsum(comp_counts))).astype(
+                np.int64
+            )
+            # The candidate panels are spent: release them before the
+            # clip allocates its own (they set the round's peak memory).
+            del cand, dist, owners, sel_cand, sel_dist, sel_owner, keep
+        with _trace.span("clip"):
+            vx, vy, piece_indptr, piece_owner = clip_cells_batch(
+                positions[act_nodes], px[comp], py[comp], comp_indptr,
+                area_pieces, k,
+            )
+
+        with _trace.span("finish"):
+            vert_counts = np.diff(piece_indptr)
+            total_verts = vx.shape[0]
+            site_rad = np.zeros(act.size)
+            if total_verts:
+                vert_owner = piece_owner[segment_ids(vert_counts, total_verts)]
+                dist_v = np.hypot(
+                    vx - px[act_nodes][vert_owner],
+                    vy - py[act_nodes][vert_owner],
+                )
+                group_start = np.nonzero(
+                    np.concatenate(([True], vert_owner[1:] != vert_owner[:-1]))
+                )[0]
+                site_rad[vert_owner[group_start]] = np.maximum.reduceat(
+                    dist_v, group_start
+                )
+            # Lemma-1 termination: the region fits in the rho/2 disk, so
+            # no competitor beyond rho can clip it.
+            finished = (site_rad <= rho_act / 2.0 + EPS) | (rho_act >= max_needed)
+            fin_rows = np.nonzero(finished)[0]
+            if fin_rows.size:
+                fin_piece = finished[piece_owner]
+                chunk = select_pieces(
+                    vx, vy, piece_indptr, act_nodes[piece_owner],
+                    None if fin_piece.all() else np.nonzero(fin_piece)[0],
+                )
+                if chunk[2].size:
+                    frozen.append((level, *chunk))
+                used[act_nodes[fin_rows]] = comp_counts[fin_rows]
+                search_radius[act_nodes[fin_rows]] = rho_act[fin_rows]
+            rho[act_nodes[~finished]] *= 2.0
+            drop = np.zeros(pending.size, dtype=bool)
+            drop[act[finished]] = True
+            pending = pending[~drop]
+
+    return _Lemma1Rows(frozen, used[rows], search_radius[rows], candidates)
+
+
+def _frozen_by_level(parts):
+    """The ``frozen`` chunks of ``parts`` (row order), one per level.
+
+    Each level's chunks are concatenated in part order, so the
+    accumulator sees exactly the chunks — and counts exactly the
+    freezes — of one :func:`_lemma1_rows` call over all the rows.
+    """
+    levels: Dict[int, list] = {}
+    for part in parts:
+        for level, *chunk in part.frozen:
+            levels.setdefault(level, []).append(chunk)
+    for level in sorted(levels):
+        chunks = levels[level]
+        if len(chunks) == 1:
+            yield chunks[0]
+        else:
+            yield [np.concatenate(arrays) for arrays in zip(*chunks)]
 
 
 @dataclasses.dataclass
@@ -246,13 +435,13 @@ class SparseRoundEngine(BatchedRoundEngine):
         rows are recomputed — see :meth:`_dirty_rows` — and spliced into
         the stored block; every other row keeps its pieces, ``used`` and
         ``rho`` verbatim, which is exactly what a full recompute would
-        rebuild for it.  Returns the number of rows recomputed.
+        rebuild for it.  The search itself is :func:`_lemma1_rows`,
+        which :func:`~repro.engine.shard.split_rows` may run as two
+        halves at once.  Returns the number of rows recomputed.
         """
         k = config.k
         diameter = self.network.region.diameter
         count = positions.shape[0]
-        px = np.ascontiguousarray(positions[:, 0])
-        py = np.ascontiguousarray(positions[:, 1])
         # Cell size ~ mean node spacing: radius-r queries then scan
         # O((r/cell)^2) buckets of O(1) points each.
         cell = max(diameter / max(math.sqrt(count), 1.0), 1e-9)
@@ -261,141 +450,26 @@ class SparseRoundEngine(BatchedRoundEngine):
         else:
             with _trace.span("dirty"):
                 rows = self._dirty_rows(prev, positions, moved, cell)
-        grid = SpatialGrid(positions, cell_size=cell)
-        need = min(k, count - 1)
-        # Floor the start radius at two grid cells (~ twice the mean
-        # spacing, ~12 sites per disk) at every N, so the start
-        # population stays O(1).  The scalar schedule's 5%-of-diameter
-        # floor sweeps in O(N) competitors per node at high density,
-        # and at N < 400 lies under one node spacing, costing extra
-        # doubling levels.  A start that proves too small only costs
-        # doubling iterations, never changes the Lemma-1 fixed point;
-        # two cells reads the fewest candidates before re-clips at a
-        # doubled rho start to dominate (DESIGN.md "Candidate pairs from
-        # the spatial grid" has the sweep).
-        floor = max(2.0 * cell, EPS * 10)
-        max_needed = diameter * 2.0 + 1.0
-
-        emit = PieceAccumulator()
-        used = np.zeros(count, dtype=np.int64)
-        search_radius = np.zeros(count)
-        # Per-node search radius: starts at the floor and is raised to
-        # ``max(2 * kth-nearest, floor)`` as soon as a query disk holds
-        # enough candidates to read the kth-nearest distance off the
-        # sorted panel — the first query serves as the kth pre-pass.
-        rho = np.full(count, floor)
-        kth_known = np.zeros(count, dtype=bool)
-        pending = rows
-        while pending.size:
-            qrad = rho[pending].copy()
-            with _trace.span("query"):
-                cand, cand_indptr = grid.query_radius_many(
-                    positions[pending], qrad
-                )
-            with _trace.span("candidates"):
-                counts_all = np.diff(cand_indptr)
-                _GRID_CANDIDATES.inc(cand.shape[0])
-                owners = segment_ids(counts_all, cand.shape[0])
-                cand, dist = _nearest_first(
-                    px, py, pending, cand, owners, counts_all
-                )
-
-            unknown = ~kth_known[pending]
-            if unknown.any():
-                with _trace.span("kth"):
-                    rows_u = np.nonzero(unknown)[0]
-                    enough = counts_all[rows_u] >= need + 1
-                    rows_e = rows_u[enough]
-                    if rows_e.size:
-                        # The disk holds >= need+1 points (self incl.),
-                        # so the need+1 globally nearest are all inside
-                        # it and the kth distance reads straight off
-                        # the sorted panel.
-                        kth = dist[cand_indptr[rows_e] + need]
-                        rho[pending[rows_e]] = np.maximum(2.0 * kth, floor)
-                        kth_known[pending[rows_e]] = True
-                    rho[pending[rows_u[~enough]]] *= 2.0
-
-            # A node can clip this iteration iff its kth-derived rho is
-            # known and covered by the radius actually queried; other
-            # nodes requery at their grown rho next iteration.
-            clippable = kth_known[pending] & (rho[pending] <= qrad)
-            act = np.nonzero(clippable)[0]
-            if act.size == 0:
-                continue
-            act_nodes = pending[act]
-            rho_act = rho[act_nodes]
-
-            with _trace.span("candidates"):
-                if act.size == pending.size:
-                    sel_cand = cand
-                    sel_dist = dist
-                    sel_owner = owners
-                else:
-                    gidx = ragged_indices(cand_indptr[act], counts_all[act])
-                    sel_cand = cand[gidx]
-                    sel_dist = dist[gidx]
-                    sel_owner = segment_ids(counts_all[act], gidx.shape[0])
-                # The pre-filter is *strict* (`dist < rho`, self
-                # excluded) — the grid's inclusive boundary slack is
-                # filtered out here so the competitor sets match the
-                # batched engine's ``select_competitors`` exactly.
-                keep = (sel_dist < rho_act[sel_owner]) & (
-                    sel_cand != act_nodes[sel_owner]
-                )
-                comp = sel_cand[keep]
-                comp_counts = np.bincount(sel_owner[keep], minlength=act.size)
-                comp_indptr = np.concatenate(
-                    ([0], np.cumsum(comp_counts))
-                ).astype(np.int64)
-                # The candidate panels are spent: release them before the
-                # clip allocates its own (they set the round's peak memory).
-                del cand, dist, owners, sel_cand, sel_dist, sel_owner, keep
-            with _trace.span("clip"):
-                vx, vy, piece_indptr, piece_owner = clip_cells_batch(
-                    positions[act_nodes], px[comp], py[comp], comp_indptr,
-                    area_pieces, k,
-                )
-
-            with _trace.span("finish"):
-                vert_counts = np.diff(piece_indptr)
-                total_verts = vx.shape[0]
-                site_rad = np.zeros(act.size)
-                if total_verts:
-                    vert_owner = piece_owner[
-                        segment_ids(vert_counts, total_verts)
-                    ]
-                    dist_v = np.hypot(
-                        vx - px[act_nodes][vert_owner],
-                        vy - py[act_nodes][vert_owner],
-                    )
-                    group_start = np.nonzero(
-                        np.concatenate(([True], vert_owner[1:] != vert_owner[:-1]))
-                    )[0]
-                    site_rad[vert_owner[group_start]] = np.maximum.reduceat(
-                        dist_v, group_start
-                    )
-                # Lemma-1 termination: the region fits in the rho/2
-                # disk, so no competitor beyond rho can clip it.
-                finished = (site_rad <= rho_act / 2.0 + EPS) | (
-                    rho_act >= max_needed
-                )
-                fin_rows = np.nonzero(finished)[0]
-                if fin_rows.size:
-                    fin_piece = finished[piece_owner]
-                    emit.extend_csr(
-                        vx, vy, piece_indptr, act_nodes[piece_owner],
-                        rows=None if fin_piece.all() else np.nonzero(fin_piece)[0],
-                    )
-                    used[act_nodes[fin_rows]] = comp_counts[fin_rows]
-                    search_radius[act_nodes[fin_rows]] = rho_act[fin_rows]
-                rho[act_nodes[~finished]] *= 2.0
-                drop = np.zeros(pending.size, dtype=bool)
-                drop[act[finished]] = True
-                pending = pending[~drop]
+        parts = _shard.split_rows(
+            _lemma1_rows,
+            rows.size,
+            lambda start, stop: (
+                positions, rows[start:stop], k, diameter, area_pieces, cell
+            ),
+        )
 
         with _trace.span("emit"):
+            _GRID_CANDIDATES.inc(sum(part.candidates for part in parts))
+            emit = PieceAccumulator()
+            for chunk in _frozen_by_level(parts):
+                emit.extend(*chunk)
             fresh = emit.finalize(count)
+            used = np.zeros(count, dtype=np.int64)
+            search_radius = np.zeros(count)
+            used[rows] = np.concatenate([part.used for part in parts])
+            search_radius[rows] = np.concatenate(
+                [part.search_radius for part in parts]
+            )
             if prev is None:
                 pieces = fresh
             else:

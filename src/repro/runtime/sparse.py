@@ -33,7 +33,8 @@ The round-level simulation of the protocol that the message-level
   (``_replay_walk``) from its saved RNG state;
 * the per-node clipping sweeps are replaced by one
   :func:`~repro.engine.sparse_kernels.clip_cells_batch` call over all
-  nodes, and the per-round summary (Chebyshev centers, displacements,
+  nodes — at large N two row halves at once, one on a helper process
+  (:func:`~repro.engine.shard.split_rows`) — and the per-round summary (Chebyshev centers, displacements,
   move proposals) by :func:`~repro.engine.sparse_kernels.mec_batch`.
 
 Numerical contract: **tolerance, not bitwise** (DESIGN.md "Sparse
@@ -53,6 +54,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.engine import shard as _shard
 from repro.engine.jit_kernels import segment_argsort, segment_ids
 from repro.engine.pieces import LazyRegions, RegionVertices, materialize_pieces
 from repro.engine.sparse_kernels import clip_cells_batch, mec_batch
@@ -240,6 +242,19 @@ def _extend_schedule(rhos: List[float], thresholds: List[float], upto: int, step
         rho = (rhos[-1] if rhos else 0.0) + step
         rhos.append(rho)
         thresholds.append(rho * rho + 1e-15)
+
+
+def _join_clips(parts, cut: int):
+    """One ``clip_cells_batch`` output from its row halves (split at ``cut``)."""
+    if len(parts) == 1:
+        return parts[0]
+    (ax, ay, a_indptr, a_owner), (bx, by, b_indptr, b_owner) = parts
+    return (
+        np.concatenate((ax, bx)),
+        np.concatenate((ay, by)),
+        np.concatenate((a_indptr, b_indptr[1:] + a_indptr[-1])),
+        np.concatenate((a_owner, b_owner + cut)),
+    )
 
 
 @register_distributed_engine
@@ -922,14 +937,22 @@ class SparseDistributedEngine(DistributedRoundEngine):
             # (base order = delivery order, as in the scalar sweep).
             order = segment_argsort(dx * dx + dy * dy, known_count)
             comp_ids = known_ids[order]
-            vx, vy, piece_indptr, piece_owner = clip_cells_batch(
-                np.column_stack((sx, sy)),
-                px[comp_ids],
-                py[comp_ids],
-                known_indptr,
-                area_pieces,
-                k,
-            )
+            sites = np.column_stack((sx, sy))
+            comp_x = px[comp_ids]
+            comp_y = py[comp_ids]
+
+            def rows_args(start, stop):
+                lo, hi = known_indptr[start], known_indptr[stop]
+                return (
+                    sites[start:stop], comp_x[lo:hi], comp_y[lo:hi],
+                    known_indptr[start : stop + 1] - lo, area_pieces, k,
+                )
+
+            # Rows are independent: split them where the competitor
+            # entries (the clip's work) are halved.
+            cut = int(np.searchsorted(known_indptr, known_indptr[-1] // 2))
+            parts = _shard.split_rows(clip_cells_batch, n_alive, rows_args, cut)
+            vx, vy, piece_indptr, piece_owner = _join_clips(parts, cut)
 
         # Region polygons (read by the compat agent surface; result()
         # reads the flat vertices) are materialised lazily on first

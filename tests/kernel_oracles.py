@@ -270,7 +270,7 @@ def move_to_centers_scalar(network, mobility, centers, alpha, epsilon):
             position[1] + alpha * (center[1] - position[1]),
         )
         moves[node_id] = constrain_scalar(mobility, network.region, position, target)
-    return apply_moves_scalar(network, moves)
+    return apply_moves_scalar(network, moves, mobility.keep_in_region)
 
 
 def move_to_targets_scalar(network, mobility, proposed):
@@ -281,7 +281,7 @@ def move_to_targets_scalar(network, mobility, proposed):
         )
         for node_id, target in proposed.items()
     }
-    return apply_moves_scalar(network, moves)
+    return apply_moves_scalar(network, moves, mobility.keep_in_region)
 
 
 def final_ranges_scalar(network, regions):

@@ -406,9 +406,9 @@ class TestCompressRingsSeam:
 # Kernel thread pool: knob resolution and chunk-ordered reduction
 # ----------------------------------------------------------------------
 class TestKernelThreads:
-    def test_default_is_available_cores(self, monkeypatch):
+    def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv(KERNEL_THREADS_ENV, raising=False)
-        assert kernel_threads() >= 1
+        assert kernel_threads() == 1
 
     def test_explicit_count(self, monkeypatch):
         monkeypatch.setenv(KERNEL_THREADS_ENV, " 3 ")

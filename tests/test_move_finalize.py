@@ -276,6 +276,30 @@ class TestMoveStageCases:
                 )
 
 
+class TestKeepInRegion:
+    """``keep_in_region=False`` lets a node leave the free area."""
+
+    @staticmethod
+    def _run(mobility):
+        sim = Simulation(
+            network=_network("fig8-two", 60, seed=1),
+            config=LaacadConfig(k=1, epsilon=0.005, max_rounds=30),
+            mobility=mobility,
+        )
+        sim.run()
+        positions = sim.network.columns.positions
+        region = sim.network.region
+        outside = [not region.contains((x, y)) for x, y in positions.tolist()]
+        return positions.tobytes(), sum(outside)
+
+    def test_a_free_run_leaves_the_free_area(self):
+        kept, kept_outside = self._run(MobilityModel())
+        free, free_outside = self._run(MobilityModel(keep_in_region=False))
+        assert kept_outside == 0
+        assert free_outside > 0
+        assert free != kept
+
+
 class TestApplyMoves:
     def test_array_and_mapping_spellings_match_the_loop(self, holed_region):
         rng = np.random.default_rng(8)
