@@ -8,7 +8,9 @@ that row's inputs alone.  So a large stage can run as two halves — rows
 ``[0, cut)`` here, rows ``[cut, count)`` on a second core — and the
 halves concatenated in row order are bitwise the one-call result.
 
-:func:`split_rows` is the only entry point.  Its helper process is:
+:func:`submit` starts a call's tail rows on the helper and lets the
+caller work until it collects them; :func:`split_rows` is the plain
+two-halves form over it.  The helper process is:
 
 * **one per process, started lazily** on the first call of at least
   :data:`_MIN_ROWS` rows, and only where it can help: two or more
@@ -28,7 +30,9 @@ halves concatenated in row order are bitwise the one-call result.
   runs inline, and any failure — EOF on its pipe, an exception sent
   back, a failed spawn — recomputes the helper's half here, marks the
   helper dead and counts ``repro_shard_fallbacks_total``; the result is
-  the same bits either way;
+  the same bits either way.  An error in the caller's own work while a
+  request is outstanding retires the helper too (its reply is never
+  read);
 * **never orphaned:** it exits on EOF of its stdin (the parent closes
   the pipe at exit, and the kernel closes it when the parent dies) and
   also when its parent pid changes.
@@ -39,6 +43,7 @@ DESIGN.md "Row shards on one helper process" has the measured threshold.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import importlib
 import multiprocessing
 import os
@@ -48,12 +53,12 @@ import sys
 import threading
 import time
 from multiprocessing.connection import Connection
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Iterator, List, Optional
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
-__all__ = ["split_rows"]
+__all__ = ["Request", "split_rows", "submit"]
 
 #: Rows at or above which a call is split across the helper.  Below it
 #: the helper's fixed cost (pickling the inputs and outputs, and one
@@ -163,38 +168,6 @@ class _Helper:
                 self.fail()
         return self.ready and not self.dead
 
-    def run_halves(self, fn, args_for, cut: int, count: int) -> List[Any]:
-        """``[fn(rows[:cut]), fn(rows[cut:])]``, the second on the helper."""
-        local_rows, helper_rows = cut, count - cut
-        with _trace.span("shard", local_rows=local_rows, helper_rows=helper_rows):
-            remote_args = args_for(cut, count)
-            try:
-                self._send.send((_address(fn), remote_args))
-                sent = True
-            except OSError:
-                sent = False
-            reply = None
-            try:
-                local = fn(*args_for(0, cut))
-                waited = time.perf_counter()
-                reply = self._reply() if sent else None
-                waited = time.perf_counter() - waited
-            finally:
-                # An error here leaves the helper's reply unread: a
-                # later call must not take it for its own.
-                if reply is None:
-                    self.fail()
-            if reply is None:
-                _FALLBACKS.inc()
-                remote = fn(*remote_args)
-                local_rows, helper_rows, helper_s = count, 0, 0.0
-            else:
-                remote, helper_s = reply
-            _trace.annotate(helper_s=helper_s, wait_s=waited)
-        _ROWS_BY_SIDE["local"].inc(local_rows)
-        _ROWS_BY_SIDE["helper"].inc(helper_rows)
-        return [local, remote]
-
     def _reply(self):
         """``(result, helper seconds)``, or ``None`` if the helper failed."""
         try:
@@ -238,29 +211,102 @@ def _claim(count: int) -> Optional[_Helper]:
     return None
 
 
+class Request:
+    """Rows ``[cut, count)`` of one :func:`submit` call, on the helper.
+
+    The caller computes rows ``[0, cut)`` itself meanwhile, then takes
+    the helper's rows with :meth:`collect`.
+    """
+
+    def __init__(self, helper: _Helper, fn: Callable, args: tuple, cut: int, count: int):
+        self.cut = cut
+        self._helper = helper
+        self._fn = fn
+        self._args = args
+        self._count = count
+        self.collected = False
+        try:
+            helper._send.send((_address(fn), args))
+            self._sent = True
+        except OSError:
+            self._sent = False
+
+    def collect(self) -> Any:
+        """``fn`` over rows ``[cut, count)``: the helper's reply, or, if
+        the helper failed, the same rows recomputed here."""
+        waited = time.perf_counter()
+        reply = self._helper._reply() if self._sent else None
+        waited = time.perf_counter() - waited
+        self.collected = True
+        local_rows, helper_rows = self.cut, self._count - self.cut
+        if reply is None:
+            self._helper.fail()
+            _FALLBACKS.inc()
+            result = self._fn(*self._args)
+            local_rows, helper_rows, helper_s = self._count, 0, 0.0
+        else:
+            result, helper_s = reply
+        _trace.annotate(helper_s=helper_s, wait_s=waited)
+        _ROWS_BY_SIDE["local"].inc(local_rows)
+        _ROWS_BY_SIDE["helper"].inc(helper_rows)
+        return result
+
+
+@contextlib.contextmanager
+def submit(
+    fn: Callable, count: int, args_for: Callable, cut: Optional[int] = None
+) -> Iterator[Optional[Request]]:
+    """Rows ``[cut, count)`` of ``fn`` started on the helper, for a ``with`` block.
+
+    ``args_for(start, stop)`` builds ``fn``'s arguments for rows
+    ``[start, stop)``; ``fn`` must be a module-level function whose
+    result for a row range depends on those rows alone.  At
+    :data:`_MIN_ROWS` rows and more, with the helper ready and free,
+    yields a :class:`Request` whose rows ``[cut, count)`` (``cut``
+    defaults to ``count // 2``) the helper computes while the block
+    runs; the block computes rows ``[0, cut)`` and calls
+    :meth:`Request.collect`.  Otherwise yields ``None`` and the block
+    computes every row itself.
+
+    The helper stays claimed until the block ends.  A block left before
+    its request was collected (an exception in the caller's own work)
+    retires the helper: its reply is never read, and a later call must
+    not take it for its own.
+    """
+    helper = _claim(count)
+    if helper is None:
+        yield None
+        return
+    try:
+        cut = count // 2 if cut is None else min(max(cut, 0), count)
+        with _trace.span(
+            "shard", fn=fn.__qualname__, local_rows=cut, helper_rows=count - cut
+        ):
+            request = Request(helper, fn, args_for(cut, count), cut, count)
+            try:
+                yield request
+            finally:
+                if not request.collected:
+                    helper.fail()
+    finally:
+        _LOCK.release()
+
+
 def split_rows(
     fn: Callable, count: int, args_for: Callable, cut: Optional[int] = None
 ) -> List[Any]:
     """``fn`` over rows ``[0, count)``, as one call or as two halves at once.
 
-    ``args_for(start, stop)`` builds ``fn``'s arguments for rows
-    ``[start, stop)``; ``fn`` must be a module-level function whose
-    result for a row range depends on those rows alone.  Returns
-    ``[fn(*args_for(0, count))]`` inline, or — at :data:`_MIN_ROWS`
-    rows and more, with the helper ready and free — ``[fn(*args_for(0,
-    cut)), fn(*args_for(cut, count))]``, the second computed on the
-    helper while the first runs here.  ``cut`` defaults to
-    ``count // 2``.
+    Arguments as for :func:`submit`.  Returns ``[fn(*args_for(0,
+    count))]`` inline, or ``[fn(*args_for(0, cut)), fn(*args_for(cut,
+    count))]``, the second computed on the helper while the first runs
+    here.
     """
-    helper = _claim(count)
-    if helper is None:
-        return [fn(*args_for(0, count))]
-    try:
-        if cut is None:
-            cut = count // 2
-        return helper.run_halves(fn, args_for, min(max(cut, 0), count), count)
-    finally:
-        _LOCK.release()
+    with submit(fn, count, args_for, cut) as request:
+        if request is None:
+            return [fn(*args_for(0, count))]
+        local = fn(*args_for(0, request.cut))
+        return [local, request.collect()]
 
 
 def _shutdown() -> None:

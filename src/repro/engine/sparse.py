@@ -24,7 +24,8 @@ engine replaces both:
   Python bookkeeping anywhere in the loop;
 * the per-round summary (Chebyshev centers, circumradii, displacements)
   is computed by :func:`~repro.engine.sparse_kernels.mec_batch` over
-  flat vertex arrays instead of one scalar Welzl call per node;
+  flat vertex arrays instead of one scalar Welzl call per node — on the
+  Lemma-1 path inside the search itself, one call per search;
 * rounds are **incremental**: the engine keeps the previous round's
   positions, piece CSR, ``used``/``rho`` and summaries, and only the
   *dirty* rows — nodes that moved, or whose stored ``rho`` disk holds a
@@ -39,8 +40,8 @@ engine replaces both:
   everything; a call with nothing moved (``result()`` then ``step()``)
   reuses the stored round outright.  DESIGN.md "Incremental rounds"
   has the argument;
-* for the same reason the recomputed rows of a large round search in
-  two halves at once, one on a helper process
+* for the same reason the recomputed rows of a large round search and
+  summarise in two halves at once, one on a helper process
   (:func:`~repro.engine.shard.split_rows` over :func:`_lemma1_rows`),
   bitwise as one search.
 
@@ -138,15 +139,21 @@ class _Lemma1Rows(NamedTuple):
 
     ``frozen`` holds ``(level, vx, vy, counts, owners)`` per search
     level that froze pieces (``PieceAccumulator.extend`` arguments,
-    owners as node rows); ``used`` and ``search_radius`` are per row,
-    in the order of the rows given; ``candidates`` is the number of
-    candidates the grid queries returned.
+    owners as node rows); ``used``, ``search_radius`` and the summary
+    (``cx``/``cy``/``radius``, each region's Chebyshev circle, and
+    ``ranges``, its farthest vertex from the site) are per row, in the
+    order of the rows given; ``candidates`` is the number of candidates
+    the grid queries returned.
     """
 
     frozen: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     used: np.ndarray
     search_radius: np.ndarray
     candidates: int
+    cx: np.ndarray
+    cy: np.ndarray
+    radius: np.ndarray
+    ranges: np.ndarray
 
 
 def _lemma1_rows(positions, rows, k, diameter, area_pieces, cell) -> _Lemma1Rows:
@@ -159,7 +166,9 @@ def _lemma1_rows(positions, rows, k, diameter, area_pieces, cell) -> _Lemma1Rows
     halves, one on a helper process.  A row finishes at the same level
     whatever rows it runs with, so the ``frozen`` chunks of two halves
     merge level by level (:func:`_frozen_by_level`) into the chunks of
-    one call.
+    one call.  Each row's summary is a reduction over its own pieces,
+    so it is bitwise :meth:`SparseRoundEngine._summarize_rows` over the
+    finalized block.
     """
     count = positions.shape[0]
     px = np.ascontiguousarray(positions[:, 0])
@@ -183,6 +192,7 @@ def _lemma1_rows(positions, rows, k, diameter, area_pieces, cell) -> _Lemma1Rows
     candidates = 0
     used = np.zeros(count, dtype=np.int64)
     search_radius = np.zeros(count)
+    ranges = np.zeros(count)
     # Per-node search radius: starts at the floor and is raised to
     # ``max(2 * kth-nearest, floor)`` as soon as a query disk holds
     # enough candidates to read the kth-nearest distance off the
@@ -289,12 +299,52 @@ def _lemma1_rows(positions, rows, k, diameter, area_pieces, cell) -> _Lemma1Rows
                     frozen.append((level, *chunk))
                 used[act_nodes[fin_rows]] = comp_counts[fin_rows]
                 search_radius[act_nodes[fin_rows]] = rho_act[fin_rows]
+                # A finished row's pieces are all frozen here, so its
+                # radius from the site is its range.
+                ranges[act_nodes[fin_rows]] = site_rad[fin_rows]
             rho[act_nodes[~finished]] *= 2.0
             drop = np.zeros(pending.size, dtype=bool)
             drop[act[finished]] = True
             pending = pending[~drop]
 
-    return _Lemma1Rows(frozen, used[rows], search_radius[rows], candidates)
+    with _trace.span("summary"):
+        cx, cy, radius = _frozen_circles(px, py, frozen)
+    return _Lemma1Rows(
+        frozen, used[rows], search_radius[rows], candidates,
+        cx[rows], cy[rows], radius[rows], ranges[rows],
+    )
+
+
+def _frozen_circles(px, py, frozen):
+    """Per node: the Chebyshev circle of its frozen pieces, by one ``mec_batch``.
+
+    A row freezes all its pieces at one level, and a level's chunk is
+    owner-contiguous, so the chunks laid end to end hold each row's
+    vertices as one run, in the order ``PieceAccumulator.finalize``
+    keeps them.  A node without vertices (empty region, or not among
+    the rows searched) gets the site and radius 0, as
+    :meth:`SparseRoundEngine._summarize_rows` gives an empty region.
+    """
+    cx = px.copy()
+    cy = py.copy()
+    radius = np.zeros(px.shape[0])
+    if not frozen:
+        return cx, cy, radius
+    vx = np.concatenate([chunk[1] for chunk in frozen])
+    vy = np.concatenate([chunk[2] for chunk in frozen])
+    counts = np.concatenate([chunk[3] for chunk in frozen])
+    owners = np.concatenate([chunk[4] for chunk in frozen])
+    starts = np.nonzero(np.concatenate(([True], owners[1:] != owners[:-1])))[0]
+    run_verts = np.add.reduceat(counts, starts)
+    run_cx, run_cy, run_radius = mec_batch(
+        vx, vy, np.concatenate(([0], np.cumsum(run_verts))).astype(np.int64)
+    )
+    full = run_verts > 0
+    nodes = owners[starts][full]
+    cx[nodes] = run_cx[full]
+    cy[nodes] = run_cy[full]
+    radius[nodes] = run_radius[full]
+    return cx, cy, radius
 
 
 def _frozen_by_level(parts):
@@ -460,6 +510,10 @@ class SparseRoundEngine(BatchedRoundEngine):
 
         with _trace.span("emit"):
             _GRID_CANDIDATES.inc(sum(part.candidates for part in parts))
+            summary = tuple(
+                np.concatenate([getattr(part, field) for part in parts])
+                for field in ("cx", "cy", "radius", "ranges")
+            )
             emit = PieceAccumulator()
             for chunk in _frozen_by_level(parts):
                 emit.extend(*chunk)
@@ -480,7 +534,7 @@ class SparseRoundEngine(BatchedRoundEngine):
                 search_radius = np.where(dirty, search_radius, prev.search_radius)
         self._store(
             config, area_pieces, alive_ids, positions, pieces, used,
-            search_radius, True, None if prev is None else (prev, rows),
+            search_radius, True, prev, (rows, *summary),
         )
         return int(rows.size)
 
@@ -512,24 +566,29 @@ class SparseRoundEngine(BatchedRoundEngine):
 
     def _store(
         self, config, area_pieces, alive_ids, positions, pieces, used,
-        search_radius, incremental, carried=None,
+        search_radius, incremental, prev=None, summary=None,
     ) -> None:
         """Adopt a finished round as the engine state.
 
-        ``carried`` is ``(prev, rows)`` for an incremental round: the
-        summaries of every row outside ``rows`` carry over (a row whose
-        pieces and position are unchanged has unchanged summaries).
+        ``summary`` is ``(rows, cx, cy, radius, ranges)``, the summaries
+        of the rows just computed; with ``prev`` (an incremental round)
+        the summaries of every other row carry over (a row whose pieces
+        and position are unchanged has unchanged summaries).  Rows with
+        neither are summarised on first use.
         """
         vx, vy, piece_indptr, piece_owner, vert_indptr = pieces
         count = alive_ids.shape[0]
-        if carried is None:
+        if prev is None:
             cx, cy, radius, ranges = (np.zeros(count) for _ in range(4))
             stale = np.ones(count, dtype=bool)
         else:
-            prev, rows = carried
             cx, cy, radius, ranges = prev.cx, prev.cy, prev.radius, prev.ranges
             stale = prev.stale
-            stale[rows] = True
+        if summary is not None:
+            rows, *values = summary
+            for target, value in zip((cx, cy, radius, ranges), values):
+                target[rows] = value
+            stale[rows] = False
         regions = self._lazy_regions(
             vx, vy, piece_indptr, piece_owner, vert_indptr, alive_ids,
             np.ascontiguousarray(positions[:, 0]),
@@ -642,7 +701,9 @@ class SparseRoundEngine(BatchedRoundEngine):
 
         Every quantity is a per-row reduction (``mec_batch`` rows are
         independent), so summarising a subset gives bitwise the values
-        a whole-block pass gives those rows.
+        a whole-block pass gives those rows.  The Lemma-1 path's rows
+        arrive summarised by :func:`_lemma1_rows`; this summarises the
+        whole-network path's.
         """
         flat_x, flat_y, _, _, vert_indptr = state.pieces
         counts = np.diff(vert_indptr)[rows]

@@ -30,12 +30,17 @@ The round-level simulation of the protocol that the message-level
   loss samples and settles its circle check from those counts
   (domination is monotone in the known set).  A node still searching
   after the precomputed levels replays the legacy walk over arrays
-  (``_replay_walk``) from its saved RNG state;
+  (``_replay_walk``) from its saved RNG state.  No draw reads the
+  precomputed panels (:func:`_lossy_panels`), so at large N a helper
+  process computes the tail chunks' panels while this process computes
+  and walks the head chunks (:func:`~repro.engine.shard.submit`);
 * the per-node clipping sweeps are replaced by one
   :func:`~repro.engine.sparse_kernels.clip_cells_batch` call over all
-  nodes — at large N two row halves at once, one on a helper process
-  (:func:`~repro.engine.shard.split_rows`) — and the per-round summary (Chebyshev centers, displacements,
-  move proposals) by :func:`~repro.engine.sparse_kernels.mec_batch`.
+  nodes, and the per-node Chebyshev circles and ranges by one
+  :func:`~repro.engine.sparse_kernels.mec_batch` call
+  (:func:`_clip_rows`); at large N the rows run as two halves at once,
+  one on the helper (:func:`~repro.engine.shard.split_rows`).
+  Displacements and move proposals are array passes over the result.
 
 Numerical contract: **tolerance, not bitwise** (DESIGN.md "Sparse
 engine tier") — positions/ranges/areas within 1e-9 of the ``legacy``
@@ -49,8 +54,9 @@ the tolerance enters only through the fused clipping and the MEC.
 from __future__ import annotations
 
 import collections
+import functools
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -97,6 +103,13 @@ _GATHER_CHUNK = 64
 #: k=2) over 99.5% of walks stop by level 2; the rare longer walk is
 #: replayed per node.
 _CONTAINMENT_LEVELS = 2
+
+#: Share of the alive rows (rounded to whole chunks) whose lossy-gather
+#: panels this process computes itself while the row-shard helper
+#: computes the rest; it then walks every chunk.  Balances the head's
+#: panels plus walk against the tail's panels: DESIGN.md "Row shards on
+#: one helper process" has the measurement.
+_LOSSY_HEAD_SHARE = 0.45
 
 #: Verdict code of a circle check with no sample inside the free area.
 _VACUOUS = 1 << 62
@@ -244,17 +257,219 @@ def _extend_schedule(rhos: List[float], thresholds: List[float], upto: int, step
         thresholds.append(rho * rho + 1e-15)
 
 
-def _join_clips(parts, cut: int):
-    """One ``clip_cells_batch`` output from its row halves (split at ``cut``)."""
+class _ClipRows(NamedTuple):
+    """:func:`_clip_rows` of a row range: the clip's CSR, then per row."""
+
+    vx: np.ndarray
+    vy: np.ndarray
+    piece_indptr: np.ndarray
+    piece_owner: np.ndarray
+    vert_counts: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    radius: np.ndarray
+    ranges: np.ndarray
+
+
+def _clip_rows(sites, comp_x, comp_y, comp_indptr, area_pieces, k) -> _ClipRows:
+    """Clip ``sites`` against their competitors, and summarise each region.
+
+    ``clip_cells_batch``'s pieces, each row's vertex count, Chebyshev
+    circle (one ``mec_batch`` call; an empty region gets the site and
+    radius 0) and range (farthest vertex from the site).  Every output
+    row depends on its own inputs alone, so any split of the rows
+    concatenates (:func:`_join_clips`) to bitwise the one-call result.
+    """
+    n_rows = sites.shape[0]
+    sx = sites[:, 0]
+    sy = sites[:, 1]
+    with _trace.span("clip"):
+        vx, vy, piece_indptr, piece_owner = clip_cells_batch(
+            sites, comp_x, comp_y, comp_indptr, area_pieces, k
+        )
+    with _trace.span("summary"):
+        vert_owner = piece_owner[segment_ids(np.diff(piece_indptr), vx.shape[0])]
+        vert_counts = np.bincount(vert_owner, minlength=n_rows)
+        vert_indptr = np.concatenate(([0], np.cumsum(vert_counts))).astype(np.int64)
+        cx, cy, radius = mec_batch(vx, vy, vert_indptr)
+        empty = vert_counts == 0
+        cx = np.where(empty, sx, cx)
+        cy = np.where(empty, sy, cy)
+        radius = np.where(empty, 0.0, radius)
+        ranges = np.zeros(n_rows)
+        if vx.size:
+            vert_dist = np.hypot(vx - sx[vert_owner], vy - sy[vert_owner])
+            group_starts = np.nonzero(
+                np.concatenate(([True], vert_owner[1:] != vert_owner[:-1]))
+            )[0]
+            ranges[vert_owner[group_starts]] = np.maximum.reduceat(
+                vert_dist, group_starts
+            )
+    return _ClipRows(
+        vx, vy, piece_indptr, piece_owner, vert_counts, cx, cy, radius, ranges
+    )
+
+
+def _join_clips(parts, cut: int) -> _ClipRows:
+    """One :func:`_clip_rows` output from its row halves (split at ``cut``)."""
     if len(parts) == 1:
         return parts[0]
-    (ax, ay, a_indptr, a_owner), (bx, by, b_indptr, b_owner) = parts
-    return (
-        np.concatenate((ax, bx)),
-        np.concatenate((ay, by)),
-        np.concatenate((a_indptr, b_indptr[1:] + a_indptr[-1])),
-        np.concatenate((a_owner, b_owner + cut)),
+    head, tail = parts
+    return _ClipRows(
+        np.concatenate((head.vx, tail.vx)),
+        np.concatenate((head.vy, tail.vy)),
+        np.concatenate((head.piece_indptr, tail.piece_indptr[1:] + head.piece_indptr[-1])),
+        np.concatenate((head.piece_owner, tail.piece_owner + cut)),
+        *(np.concatenate(pair) for pair in zip(head[4:], tail[4:])),
     )
+
+
+def _alive_pairs(alive, px, py, gamma, cand, owner_node):
+    """Alive non-self pairs: kept mask, ids, squared distances, hops."""
+    keep = alive[cand] & (cand != owner_node)
+    cand = cand[keep]
+    owner_node = owner_node[keep]
+    dx = px[cand] - px[owner_node]
+    dy = py[cand] - py[owner_node]
+    hops = np.maximum(1, np.ceil(np.hypot(dx, dy) / gamma - 1e-9)).astype(np.int64)
+    return keep, cand, dx * dx + dy * dy, hops
+
+
+def _circle_containment(
+    containment, sx: np.ndarray, sy: np.ndarray, radii: np.ndarray,
+    cos_table: np.ndarray, sin_table: np.ndarray,
+) -> np.ndarray:
+    """Free-area containment of many nodes' circle samples at many radii.
+
+    Returns a ``(nodes, radii, samples)`` boolean array whose ``[i, l]``
+    row is the mask ``_circle_dominated`` computes for node ``i`` at
+    half-radius ``radii[l]``.  A node whose clearance from every outer
+    and hole edge exceeds ``max(radii) + eps + 1e-9`` has all its
+    samples farther than ``eps`` from every edge and in its own face, so
+    they take its site's verdict.  The other nodes run the same sample
+    floats (``site + radius * (cos, sin)``, same operand order) through
+    the same elementwise kernel, in one call.
+    """
+    inside = np.empty((sx.shape[0], radii.shape[0], cos_table.shape[0]), dtype=bool)
+    near = containment.clearance(sx, sy) <= radii.max() + containment.eps + 1e-9
+    far = ~near
+    if far.any():
+        inside[far] = containment.contains(sx[far], sy[far])[:, None, None]
+    if near.any():
+        sample_x = sx[near, None, None] + (radii[:, None] * cos_table)[None]
+        sample_y = sy[near, None, None] + (radii[:, None] * sin_table)[None]
+        inside[near] = containment.contains(
+            sample_x.ravel(), sample_y.ravel()
+        ).reshape(sample_x.shape)
+    return inside
+
+
+class _LossyPanel(NamedTuple):
+    """What the lossy walk reads of one gather chunk, decided by no draw.
+
+    ``cand``/``dist_sq``/``hops`` are the chunk's alive non-self
+    candidates within the horizon, owner-major in scan order, node
+    ``i``'s at ``bounds[i]:bounds[i + 1]``; ``members[level]`` is
+    ``(pair indices within that ring, per-node bounds)``; ``inside`` and
+    ``counts`` are the ``(nodes, levels, samples)`` containment and
+    loss-free closer counts (int32: the panels cross a pipe); and
+    ``verdicts[i][level]`` is ``_VACUOUS`` or the slack ``min(count -
+    k)`` over the inside samples.  ``fetched`` is the grid candidate
+    count, for ``repro_grid_candidates_total``.
+    """
+
+    cand: np.ndarray
+    dist_sq: np.ndarray
+    hops: np.ndarray
+    bounds: List[int]
+    members: List[Tuple[np.ndarray, List[int]]]
+    inside: np.ndarray
+    counts: np.ndarray
+    verdicts: List[List[int]]
+    fetched: int
+
+
+def _lossy_panels(
+    grid, positions, alive, nodes, horizon, gamma, level_thresholds,
+    half_radii, cos_table, sin_table, containment, k,
+) -> List[_LossyPanel]:
+    """The lossy walk's panels of ``nodes``, one per ``_GATHER_CHUNK`` of them.
+
+    Per chunk: one ``query_radius_many`` to ``horizon`` (its per-center
+    lists are the per-node ``query_radius`` lists, scan order included),
+    the alive/self filter, squared distances, hop counts and ring levels
+    in one array pass, and for each ring level the free-area containment
+    of every node's circle samples and the *loss-free*
+    closer-than-the-site count of every sample (all candidates within
+    the level's ring), by angular intervals (:func:`arc_closer_counts`).
+
+    A pure function of its arguments, each row's panel from its own
+    inputs: no RNG draw reads it, so a helper process can compute the
+    chunks ahead of the walk (``SparseDistributedEngine._gather_lossy``).
+    """
+    px = positions[:, 0]
+    py = positions[:, 1]
+    panels = []
+    for first in range(0, nodes.shape[0], _GATHER_CHUNK):
+        chunk = nodes[first : first + _GATHER_CHUNK]
+        n_nodes = chunk.shape[0]
+        with _trace.span("gather"):
+            cand, indptr = grid.query_radius_many(positions[chunk], horizon)
+            fetched = int(cand.shape[0])
+            owner = segment_ids(np.diff(indptr), cand.shape[0])
+            keep, cand, dist_sq, hops = _alive_pairs(
+                alive, px, py, gamma, cand, chunk[owner]
+            )
+            owner = owner[keep]
+            ptr = np.zeros(n_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(owner, minlength=n_nodes), out=ptr[1:])
+            # 0-based ring level: the first level whose inclusion
+            # threshold admits the pair (the walk's ``dist_sq <= rho^2 +
+            # 1e-15``).
+            ring = np.searchsorted(level_thresholds, dist_sq, side="left")
+            members = []
+            for level in range(half_radii.shape[0]):
+                in_ring = ring <= level
+                member_ptr = np.zeros(n_nodes + 1, dtype=np.int64)
+                np.cumsum(
+                    np.bincount(owner[in_ring], minlength=n_nodes),
+                    out=member_ptr[1:],
+                )
+                members.append((np.nonzero(in_ring)[0], member_ptr.tolist()))
+        with _trace.span("circle_check"):
+            sx = px[chunk]
+            sy = py[chunk]
+            inside = _circle_containment(
+                containment, sx, sy, half_radii, cos_table, sin_table
+            )
+            counts = np.stack(
+                [
+                    arc_closer_counts(
+                        sx,
+                        sy,
+                        owner[member_rows],
+                        px[cand[member_rows]],
+                        py[cand[member_rows]],
+                        float(half_radii[level]),
+                        cos_table,
+                        sin_table,
+                    )
+                    for level, (member_rows, _) in enumerate(members)
+                ],
+                axis=1,
+            )
+            # Per (node, level): ``_VACUOUS`` when no sample is inside,
+            # else the slack min(count - k) over the inside samples
+            # (negative: some sample is short of k).
+            slack = np.where(inside, counts, _VACUOUS).min(axis=2) - k
+            verdicts = np.where(inside.any(axis=2), slack, _VACUOUS).tolist()
+        panels.append(
+            _LossyPanel(
+                cand, dist_sq, hops, ptr.tolist(), members, inside,
+                counts.astype(np.int32), verdicts, fetched,
+            )
+        )
+    return panels
 
 
 @register_distributed_engine
@@ -523,18 +738,10 @@ class SparseDistributedEngine(DistributedRoundEngine):
         consumed node by node in the legacy order: ascending nodes, and
         per node its ring levels in turn, ``2 * attempts`` draws each.
         Per chunk of ``_GATHER_CHUNK`` alive rows, everything no draw
-        decides is computed in batch first:
-
-        * the candidates within the last precomputed ring, by one
-          ``query_radius_many`` whose per-center lists are the
-          per-node ``query_radius`` lists, scan order included; the
-          alive/self filter, squared distances, hop counts and ring
-          levels are one array pass over the chunk;
-        * for each of the first ``_CONTAINMENT_LEVELS`` ring levels, the
-          free-area containment of every node's circle samples and the
-          *loss-free* closer-than-the-site count of every sample (all
-          candidates within the level's ring), by angular intervals
-          (:func:`arc_closer_counts`).
+        decides is computed first, by :func:`_lossy_panels`: the
+        candidates within the last precomputed ring, and per ring level
+        the circle samples' free-area containment and loss-free closer
+        counts.
 
         Then the chunk's nodes walk in ascending order in plain Python
         over per-level member lists (scan order), drawing each level's
@@ -556,12 +763,20 @@ class SparseDistributedEngine(DistributedRoundEngine):
         (``replay``), which fetches candidates past the horizon itself.
         Message accounting is committed once per chunk as sums, and the
         check paths are counted in ``repro_lossy_circle_checks_total``.
+
+        No draw reads a panel, so at large N the helper process computes
+        the tail chunks' panels (:func:`~repro.engine.shard.submit`)
+        while this process computes and walks the head chunks; the tail
+        is walked afterwards, in node order.  The cut falls on a chunk
+        boundary, so every chunk, commit and counter is the one-process
+        run's.
         """
         scheduler = self.scheduler
         bit_generator = scheduler.rng.bit_generator
         draw = scheduler.rng.random
         p_drop = scheduler.drop_probability
-        k = self.config.k
+        cos_table = self._circle_cos
+        sin_table = self._circle_sin
         exchange_bytes = int(self._exchange_sizes.sum())
         px = positions[:, 0]
         py = positions[:, 1]
@@ -581,172 +796,143 @@ class SparseDistributedEngine(DistributedRoundEngine):
         level_thresholds = np.asarray(thresholds)
         half_radii = np.asarray(rhos) / 2.0
         levels = range(_CONTAINMENT_LEVELS)
+        pairs = functools.partial(_alive_pairs, alive, px, py, gamma)
 
-        def pairs(cand, owner_node):
-            """Alive non-self pairs: kept mask, ids, squared distances, hops."""
-            keep = alive[cand] & (cand != owner_node)
-            cand = cand[keep]
-            owner_node = owner_node[keep]
-            dx = px[cand] - px[owner_node]
-            dy = py[cand] - py[owner_node]
-            hops = np.maximum(
-                1, np.ceil(np.hypot(dx, dy) / gamma - 1e-9)
-            ).astype(np.int64)
-            return keep, cand, dx * dx + dy * dy, hops
+        def panels_of(start: int, stop: int) -> tuple:
+            return (
+                grid, positions, alive, alive_rows[start:stop], horizon, gamma,
+                level_thresholds, half_radii, cos_table, sin_table,
+                self._containment, self.config.k,
+            )
 
-        for first in range(0, n_alive, _GATHER_CHUNK):
-            nodes = alive_rows[first : first + _GATHER_CHUNK]
-            n_nodes = nodes.shape[0]
-            with _trace.span("gather"):
-                cand, indptr = grid.query_radius_many(
-                    positions[nodes], horizon
-                )
-                _GRID_CANDIDATES.inc(int(cand.shape[0]))
-                owner = segment_ids(np.diff(indptr), cand.shape[0])
-                keep, cand, cand_dist_sq, cand_hops = pairs(cand, nodes[owner])
-                owner = owner[keep]
-                cand_positions = positions[cand]
-                ptr = np.zeros(n_nodes + 1, dtype=np.int64)
-                np.cumsum(np.bincount(owner, minlength=n_nodes), out=ptr[1:])
-                # 0-based ring level: the first level whose inclusion
-                # threshold admits the pair (the walk's ``dist_sq <=
-                # rho^2 + 1e-15``).
-                ring = np.searchsorted(level_thresholds, cand_dist_sq, side="left")
-                members = []
+        def walk(first: int, panel: _LossyPanel) -> None:
+            """Walk the chunk of alive rows from ``first`` over its panel."""
+            _GRID_CANDIDATES.inc(panel.fetched)
+            cand = panel.cand
+            members = panel.members
+            verdicts = panel.verdicts
+            inside = panel.inside
+            counts = panel.counts
+            bounds = panel.bounds
+            nodes = alive_rows[first : first + len(verdicts)]
+            # The walk's sample floats and closer thresholds, for the
+            # checks that subtract their missing members.
+            sx = px[nodes]
+            sy = py[nodes]
+            sample_x = sx[:, None, None] + (half_radii[:, None] * cos_table)[None]
+            sample_y = sy[:, None, None] + (half_radii[:, None] * sin_table)[None]
+            reach = (
+                np.hypot(sx[:, None, None] - sample_x, sy[:, None, None] - sample_y)
+                - 1e-12
+            )
+            known = np.zeros(cand.shape[0], dtype=bool)
+            draws: List[np.ndarray] = []
+            attempted: List[np.ndarray] = []
+            settled: List[str] = []
+            for local, node_index in enumerate(nodes.tolist()):
+                saved = bit_generator.state
+                marks = (len(draws), len(attempted), len(settled))
+                got_parts: List[np.ndarray] = []
+                n_known = 0
                 for level in levels:
-                    in_ring = ring <= level
-                    member_ptr = np.zeros(n_nodes + 1, dtype=np.int64)
-                    np.cumsum(
-                        np.bincount(owner[in_ring], minlength=n_nodes),
-                        out=member_ptr[1:],
+                    ring_members, member_bounds = members[level]
+                    ring_members = ring_members[
+                        member_bounds[local] : member_bounds[local + 1]
+                    ]
+                    attempts = (
+                        ring_members[~known[ring_members]]
+                        if n_known
+                        else ring_members
                     )
-                    members.append((np.nonzero(in_ring)[0], member_ptr.tolist()))
-            with _trace.span("circle_check"):
-                sx = px[nodes]
-                sy = py[nodes]
-                inside = self._circle_containment(sx, sy, half_radii)
-                counts = np.stack(
-                    [
-                        arc_closer_counts(
-                            sx,
-                            sy,
-                            owner[member_rows],
-                            cand_positions[member_rows, 0],
-                            cand_positions[member_rows, 1],
-                            float(half_radii[level]),
-                            self._circle_cos,
-                            self._circle_sin,
-                        )
-                        for level, (member_rows, _) in enumerate(members)
-                    ],
-                    axis=1,
-                )
-                # Per (node, level): ``_VACUOUS`` when no sample is
-                # inside, else the slack min(count - k) over the inside
-                # samples (negative: some sample is short of k).
-                slack = np.where(inside, counts, _VACUOUS).min(axis=2) - k
-                verdicts = np.where(inside.any(axis=2), slack, _VACUOUS).tolist()
-                # The walk's sample floats and closer thresholds, for
-                # the checks that subtract their missing members.
-                sample_x = sx[:, None, None] + (half_radii[:, None] * self._circle_cos)[None]
-                sample_y = sy[:, None, None] + (half_radii[:, None] * self._circle_sin)[None]
-                reach = (
-                    np.hypot(sx[:, None, None] - sample_x, sy[:, None, None] - sample_y)
-                    - 1e-12
-                )
-            with _trace.span("gather"):
-                known = np.zeros(cand.shape[0], dtype=bool)
-                draws: List[np.ndarray] = []
-                attempted: List[np.ndarray] = []
-                settled: List[str] = []
-                bounds = ptr.tolist()
-                for local, node_index in enumerate(nodes.tolist()):
-                    saved = bit_generator.state
-                    marks = (len(draws), len(attempted), len(settled))
-                    got_parts: List[np.ndarray] = []
-                    n_known = 0
-                    for level in levels:
-                        ring_members, member_bounds = members[level]
-                        ring_members = ring_members[
-                            member_bounds[local] : member_bounds[local + 1]
-                        ]
-                        attempts = (
-                            ring_members[~known[ring_members]]
-                            if n_known
-                            else ring_members
-                        )
-                        if attempts.shape[0]:
-                            u = draw(2 * attempts.shape[0])
-                            draws.append(u)
-                            attempted.append(attempts)
-                            got = attempts[u[1::2] >= p_drop]
-                            known[got] = True
-                            got_parts.append(got)
-                            n_known += got.shape[0]
-                        verdict = verdicts[local][level]
-                        if verdict == _VACUOUS:
-                            settled.append("vacuous")
-                            dominated = True
-                        elif verdict < 0:
-                            settled.append("open")
-                            dominated = False
-                        elif ring_members.shape[0] - n_known <= verdict:
-                            settled.append("slack")
-                            dominated = True
-                        else:
-                            settled.append("exact")
-                            missing = ring_members[~known[ring_members]]
-                            dominated = self._lossy_dominated(
-                                cand_positions[missing],
-                                sample_x[local, level],
-                                sample_y[local, level],
-                                reach[local, level],
-                                inside[local, level],
-                                counts[local, level],
-                            )
-                        if dominated or rhos[level] >= max_radius:
-                            break
+                    if attempts.shape[0]:
+                        u = draw(2 * attempts.shape[0])
+                        draws.append(u)
+                        attempted.append(attempts)
+                        got = attempts[u[1::2] >= p_drop]
+                        known[got] = True
+                        got_parts.append(got)
+                        n_known += got.shape[0]
+                    verdict = verdicts[local][level]
+                    if verdict == _VACUOUS:
+                        settled.append("vacuous")
+                        dominated = True
+                    elif verdict < 0:
+                        settled.append("open")
+                        dominated = False
+                    elif ring_members.shape[0] - n_known <= verdict:
+                        settled.append("slack")
+                        dominated = True
                     else:
-                        # Past the precomputed levels: replay the node.
-                        bit_generator.state = saved
-                        del draws[marks[0] :]
-                        del attempted[marks[1] :]
-                        del settled[marks[2] :]
-                        delivered, rho = self._replay_walk(
-                            grid,
-                            positions,
-                            pairs,
-                            node_index,
-                            cand[bounds[local] : bounds[local + 1]],
-                            cand_dist_sq[bounds[local] : bounds[local + 1]],
-                            cand_hops[bounds[local] : bounds[local + 1]],
-                            inside[local],
-                            step,
-                            max_radius,
-                            horizon,
+                        settled.append("exact")
+                        missing = ring_members[~known[ring_members]]
+                        dominated = self._lossy_dominated(
+                            positions[cand[missing]],
+                            sample_x[local, level],
+                            sample_y[local, level],
+                            reach[local, level],
+                            inside[local, level],
+                            counts[local, level],
                         )
-                        while rhos[-1] < rho:
-                            _extend_schedule(rhos, thresholds, len(rhos) + 1, step)
-                        settled.extend(["replay"] * (rhos.index(rho) + 1))
-                        known_parts.append(delivered)
-                        known_counts[first + local] = delivered.shape[0]
-                        rho_final[first + local] = rho
-                        continue
-                    delivered = (
-                        cand[np.concatenate(got_parts)] if got_parts else _NO_IDS
+                    if dominated or rhos[level] >= max_radius:
+                        break
+                else:
+                    # Past the precomputed levels: replay the node.
+                    bit_generator.state = saved
+                    del draws[marks[0] :]
+                    del attempted[marks[1] :]
+                    del settled[marks[2] :]
+                    span = slice(bounds[local], bounds[local + 1])
+                    delivered, rho = self._replay_walk(
+                        grid,
+                        positions,
+                        pairs,
+                        node_index,
+                        cand[span],
+                        panel.dist_sq[span],
+                        panel.hops[span],
+                        inside[local],
+                        step,
+                        max_radius,
+                        horizon,
                     )
+                    while rhos[-1] < rho:
+                        _extend_schedule(rhos, thresholds, len(rhos) + 1, step)
+                    settled.extend(["replay"] * (rhos.index(rho) + 1))
                     known_parts.append(delivered)
                     known_counts[first + local] = delivered.shape[0]
-                    rho_final[first + local] = rhos[level]
-                if attempted:
-                    hop_sum = int(cand_hops[np.concatenate(attempted)].sum())
-                    messages = 2 * sum(a.shape[0] for a in attempted)
-                    dropped = int(np.count_nonzero(np.concatenate(draws) < p_drop))
-                    scheduler.commit(
-                        messages, 2 * hop_sum, exchange_bytes * hop_sum, dropped
-                    )
-                for path, n_checks in collections.Counter(settled).items():
-                    _CIRCLE_CHECKS_BY_PATH[path].inc(n_checks)
+                    rho_final[first + local] = rho
+                    continue
+                delivered = cand[np.concatenate(got_parts)] if got_parts else _NO_IDS
+                known_parts.append(delivered)
+                known_counts[first + local] = delivered.shape[0]
+                rho_final[first + local] = rhos[level]
+            if attempted:
+                hop_sum = int(panel.hops[np.concatenate(attempted)].sum())
+                messages = 2 * sum(a.shape[0] for a in attempted)
+                dropped = int(np.count_nonzero(np.concatenate(draws) < p_drop))
+                scheduler.commit(
+                    messages, 2 * hop_sum, exchange_bytes * hop_sum, dropped
+                )
+            for path, n_checks in collections.Counter(settled).items():
+                _CIRCLE_CHECKS_BY_PATH[path].inc(n_checks)
+
+        # Chunk-aligned, so the tail's chunks are the one-process run's.
+        cut = min(
+            n_alive,
+            _GATHER_CHUNK * round(_LOSSY_HEAD_SHARE * n_alive / _GATHER_CHUNK),
+        )
+        with _shard.submit(_lossy_panels, n_alive, panels_of, cut) as request:
+            stop = n_alive if request is None else request.cut
+            for first in range(0, stop, _GATHER_CHUNK):
+                (panel,) = _lossy_panels(
+                    *panels_of(first, min(first + _GATHER_CHUNK, stop))
+                )
+                with _trace.span("gather"):
+                    walk(first, panel)
+            tail = [] if request is None else request.collect()
+        for index, panel in enumerate(tail):
+            with _trace.span("gather"):
+                walk(stop + index * _GATHER_CHUNK, panel)
         known_ids = np.concatenate(known_parts) if known_parts else _NO_IDS
         known_indptr = np.concatenate(([0], np.cumsum(known_counts))).astype(np.int64)
         return known_ids, known_indptr, rho_final
@@ -878,37 +1064,6 @@ class SparseDistributedEngine(DistributedRoundEngine):
         ).sum(axis=1)
         return bool(np.all(closer >= self.config.k))
 
-    def _circle_containment(
-        self, sx: np.ndarray, sy: np.ndarray, radii: np.ndarray
-    ) -> np.ndarray:
-        """Free-area containment of many nodes' circle samples at many radii.
-
-        Returns a ``(nodes, radii, samples)`` boolean array whose
-        ``[i, l]`` row is the mask ``_circle_dominated`` computes for
-        node ``i`` at half-radius ``radii[l]``.  A node whose clearance
-        from every outer and hole edge exceeds ``max(radii) + eps +
-        1e-9`` has all its samples farther than ``eps`` from every edge
-        and in its own face, so they take its site's verdict.  The other
-        nodes run the same sample floats (``site + radius * (cos,
-        sin)``, same operand order) through the same elementwise kernel,
-        in one call.
-        """
-        containment = self._containment
-        inside = np.empty(
-            (sx.shape[0], radii.shape[0], self._circle_cos.shape[0]), dtype=bool
-        )
-        near = containment.clearance(sx, sy) <= radii.max() + containment.eps + 1e-9
-        far = ~near
-        if far.any():
-            inside[far] = containment.contains(sx[far], sy[far])[:, None, None]
-        if near.any():
-            sample_x = sx[near, None, None] + (radii[:, None] * self._circle_cos)[None]
-            sample_y = sy[near, None, None] + (radii[:, None] * self._circle_sin)[None]
-            inside[near] = containment.contains(
-                sample_x.ravel(), sample_y.ravel()
-            ).reshape(sample_x.shape)
-        return inside
-
     # ------------------------------------------------------------------
     # Shared compute phase: cross-node clip + vectorised summary
     # ------------------------------------------------------------------
@@ -941,18 +1096,21 @@ class SparseDistributedEngine(DistributedRoundEngine):
             comp_x = px[comp_ids]
             comp_y = py[comp_ids]
 
-            def rows_args(start, stop):
-                lo, hi = known_indptr[start], known_indptr[stop]
-                return (
-                    sites[start:stop], comp_x[lo:hi], comp_y[lo:hi],
-                    known_indptr[start : stop + 1] - lo, area_pieces, k,
-                )
+        def rows_args(start, stop):
+            lo, hi = known_indptr[start], known_indptr[stop]
+            return (
+                sites[start:stop], comp_x[lo:hi], comp_y[lo:hi],
+                known_indptr[start : stop + 1] - lo, area_pieces, k,
+            )
 
-            # Rows are independent: split them where the competitor
-            # entries (the clip's work) are halved.
-            cut = int(np.searchsorted(known_indptr, known_indptr[-1] // 2))
-            parts = _shard.split_rows(clip_cells_batch, n_alive, rows_args, cut)
-            vx, vy, piece_indptr, piece_owner = _join_clips(parts, cut)
+        # Rows are independent: split them where the competitor entries
+        # (the clip's work) are halved.
+        cut = int(np.searchsorted(known_indptr, known_indptr[-1] // 2))
+        clipped = _join_clips(
+            _shard.split_rows(_clip_rows, n_alive, rows_args, cut), cut
+        )
+        vx, vy, piece_indptr, piece_owner = clipped[:4]
+        cx, cy, radius, ranges = clipped.cx, clipped.cy, clipped.radius, clipped.ranges
 
         # Region polygons (read by the compat agent surface; result()
         # reads the flat vertices) are materialised lazily on first
@@ -973,34 +1131,15 @@ class SparseDistributedEngine(DistributedRoundEngine):
                 )
             return built
 
-        # Vectorised summary: Chebyshev centers via mec_batch, ranges
-        # and displacements via ragged reductions, move proposals with
-        # the agent's exact update grouping.
+        # Displacements and move proposals with the agent's exact update
+        # grouping; the circles and ranges came with the clip.
         with _trace.span("summary"):
-            vert_owner = piece_owner[
-                segment_ids(np.diff(piece_indptr), vx.shape[0])
-            ]
-            owner_vert_counts = np.bincount(vert_owner, minlength=n_alive)
             vert_indptr = np.concatenate(
-                ([0], np.cumsum(owner_vert_counts))
+                ([0], np.cumsum(clipped.vert_counts))
             ).astype(np.int64)
             regions: Dict[int, DominatingRegion] = LazyRegions(
                 build_regions, RegionVertices(alive_rows, vx, vy, vert_indptr)
             )
-            cx, cy, radius = mec_batch(vx, vy, vert_indptr)
-            empty = owner_vert_counts == 0
-            cx = np.where(empty, sx, cx)
-            cy = np.where(empty, sy, cy)
-            radius = np.where(empty, 0.0, radius)
-            ranges = np.zeros(n_alive)
-            if vx.size:
-                vert_dist = np.hypot(vx - sx[vert_owner], vy - sy[vert_owner])
-                group_starts = np.nonzero(
-                    np.concatenate(([True], vert_owner[1:] != vert_owner[:-1]))
-                )[0]
-                ranges[vert_owner[group_starts]] = np.maximum.reduceat(
-                    vert_dist, group_starts
-                )
             displacements = np.hypot(sx - cx, sy - cy)
             ids = alive_rows.tolist()
             centers: Dict[int, Tuple[float, float]] = dict(

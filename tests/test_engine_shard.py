@@ -14,6 +14,8 @@ core, and concurrent callers never wait on each other.
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import functools
 import os
 import signal
@@ -28,9 +30,11 @@ import numpy as np
 import pytest
 
 import repro.engine.sparse as engine_sparse
+import repro.runtime.sparse as runtime_sparse
 from repro.api import Simulation
 from repro.core.config import LaacadConfig
 from repro.engine import shard
+from repro.engine.sparse_kernels import mec_batch
 from repro.network.network import SensorNetwork
 from repro.obs import trace
 from repro.obs.metrics import REGISTRY
@@ -44,6 +48,10 @@ _TOTALS = (
     "repro_piece_pool_freezes_total",
     "repro_piece_pool_pieces_total",
 )
+_CIRCLE_CHECKS = REGISTRY.counter(
+    "repro_lossy_circle_checks_total", labelnames=("path",)
+)
+_PATHS = ("vacuous", "open", "slack", "exact", "replay")
 
 
 def _start_helper(timeout: float = 30.0) -> shard._Helper:
@@ -77,9 +85,9 @@ def force_shard(monkeypatch):
     return _force(monkeypatch)
 
 
-def _network(region, count, seed):
+def _network(region, count, seed, comm_range=0.3):
     points = region.random_points(count, rng=np.random.default_rng(seed))
-    return SensorNetwork(region, points, comm_range=0.3)
+    return SensorNetwork(region, points, comm_range=comm_range)
 
 
 def _kill(sim):
@@ -91,7 +99,7 @@ def _restore(sim):
     return Simulation.restore(sim.checkpoint())
 
 
-def _centralized(count=300, seed=3, schedule=None):
+def _centralized(count=300, seed=3, schedule=None, after_step=None):
     """A figure-8 centralized run with a failure and a checkpoint/restore."""
     schedule = {2: _kill, 4: _restore} if schedule is None else schedule
     sim = Simulation(
@@ -103,21 +111,35 @@ def _centralized(count=300, seed=3, schedule=None):
         if action is not None:
             sim = action(sim) or sim
         sim.step()
+        if after_step is not None:
+            after_step(sim)
     return _fingerprint(sim)
 
 
-def _distributed(count=300, seed=5):
+def _distributed(
+    count=300, seed=5, drop_probability=0.1, comm_range=0.3, after_step=None
+):
     sim = Simulation(
-        network=_network(unit_square(), count, seed),
+        network=_network(unit_square(), count, seed, comm_range),
         config=LaacadConfig(k=2, engine="sparse", epsilon=0.01, max_rounds=6),
         kind="distributed",
-        drop_probability=0.1,
+        drop_probability=drop_probability,
         rng=np.random.default_rng(seed),
     )
-    sim.run()
+    while not sim.done:
+        sim.step()
+        if after_step is not None:
+            after_step(sim)
     fingerprint = _fingerprint(sim)
     fingerprint["rng"] = sim.deployer.scheduler._rng.bit_generator.state
     return fingerprint
+
+
+def _lossy():
+    """A heavily lossy run over five gather chunks: with the head share
+    cut, ``exact`` and ``replay`` checks fall on both sides."""
+    assert 300 >= 3 * runtime_sparse._GATHER_CHUNK
+    return _distributed(drop_probability=0.6, comm_range=0.15)
 
 
 def _fingerprint(sim):
@@ -132,7 +154,9 @@ def _fingerprint(sim):
 
 
 def _counter_totals():
-    return {name: REGISTRY.counter(name).value for name in _TOTALS}
+    totals = {name: REGISTRY.counter(name).value for name in _TOTALS}
+    totals.update((path, _CIRCLE_CHECKS.labels(path).value) for path in _PATHS)
+    return totals
 
 
 def _delta(before, after):
@@ -166,15 +190,99 @@ class TestBitwiseEqualToInline:
         _centralized(schedule={})
         assert _delta(before, _counter_totals()) == want
 
+    def test_lossy_panels_on_both_sides_of_the_cut(self, monkeypatch):
+        before = _counter_totals()
+        want = _lossy()
+        want_totals = _delta(before, _counter_totals())
+        _force(monkeypatch)
+        sides = _record_lossy_sides(monkeypatch)
+        helper_rows = _HELPER_ROWS.value
+        fallbacks = _FALLBACKS.value
+        before = _counter_totals()
+        assert _lossy() == want
+        assert _delta(before, _counter_totals()) == want_totals
+        assert _HELPER_ROWS.value > helper_rows
+        assert _FALLBACKS.value == fallbacks
+        for side in ("head", "tail"):
+            assert sides[side, "exact"] > 0 and sides[side, "replay"] > 0
+
     def test_shard_span_explains_the_split(self, force_shard):
         with trace.tracing() as collector:
             _centralized(schedule={})
+            _distributed()
         spans = [row for row in collector.rows() if row["name"] == "shard"]
-        assert spans
+        assert {row["args"]["fn"] for row in spans} == {
+            "_lemma1_rows", "_clip_rows", "_lossy_panels",
+        }
         for row in spans:
             attrs = row["args"]
             assert attrs["local_rows"] >= 0 and attrs["helper_rows"] > 0
             assert attrs["helper_s"] > 0.0 and attrs["wait_s"] >= 0.0
+
+
+class TestSummariesInTheHalves:
+    """The halves' Chebyshev circles and ranges are the one-pass summary's."""
+
+    def test_centralized_equals_summarize_rows(self, monkeypatch):
+        _force(monkeypatch)
+        helper_rows = _HELPER_ROWS.value
+        checked = []
+
+        def check(sim):
+            state = sim.deployer.engine._state
+            oracle = dataclasses.replace(
+                state,
+                cx=np.zeros_like(state.cx),
+                cy=np.zeros_like(state.cy),
+                radius=np.zeros_like(state.radius),
+                ranges=np.zeros_like(state.ranges),
+                stale=np.ones_like(state.stale),
+            )
+            engine_sparse.SparseRoundEngine._summarize_rows(
+                oracle, np.arange(state.stale.shape[0])
+            )
+            for field in ("cx", "cy", "radius", "ranges"):
+                assert getattr(state, field).tobytes() == getattr(oracle, field).tobytes()
+            checked.append(state.incremental)
+
+        _centralized(after_step=check)
+        assert _HELPER_ROWS.value > helper_rows
+        assert len(checked) > 4 and all(checked)
+
+    def test_distributed_equals_one_whole_block_mec(self, monkeypatch):
+        _force(monkeypatch)
+        helper_rows = _HELPER_ROWS.value
+        checked = []
+
+        def check(sim):
+            last = sim.deployer.protocol.last_round
+            vertices = last.regions.vertices
+            ids = vertices.ids
+            counts = np.diff(vertices.indptr)
+            # Sited where the round saw each node, before its moves.
+            sites = np.asarray([last.regions[int(i)].site for i in ids])
+            cx, cy, radius = mec_batch(vertices.vx, vertices.vy, vertices.indptr)
+            empty = counts == 0
+            cx = np.where(empty, sites[:, 0], cx)
+            cy = np.where(empty, sites[:, 1], cy)
+            radius = np.where(empty, 0.0, radius)
+            centers = np.asarray([last.centers[int(i)] for i in ids])
+            assert centers[:, 0].tobytes() == cx.tobytes()
+            assert centers[:, 1].tobytes() == cy.tobytes()
+            assert np.asarray(last.circumradii).tobytes() == radius.tobytes()
+            owner = np.repeat(np.arange(ids.shape[0]), counts)
+            far = np.zeros(ids.shape[0])
+            np.maximum.at(
+                far,
+                owner,
+                np.hypot(vertices.vx - sites[owner, 0], vertices.vy - sites[owner, 1]),
+            )
+            assert np.asarray(last.ranges_from_position).tobytes() == far.tobytes()
+            checked.append(ids.shape[0])
+
+        _distributed(after_step=check)
+        assert _HELPER_ROWS.value > helper_rows
+        assert len(checked) > 2
 
 
 class TestHelperFailure:
@@ -216,6 +324,60 @@ class TestHelperFailure:
             shard.split_rows(_fails_here, 4, lambda start, stop: (start, stop))
         assert force_shard.dead and not _running(force_shard.proc.pid)
         assert shard.split_rows(sum, 3, lambda a, b: (range(a, b),)) == [3]
+
+    def test_helper_killed_with_panels_outstanding(self, monkeypatch):
+        want = _lossy()
+        helper = _force(monkeypatch)
+        original = runtime_sparse._lossy_panels
+
+        # The parent's first head chunk kills the helper after the tail
+        # was submitted; the helper resolves its call to the original.
+        @functools.wraps(original)
+        def kill_then_run(*args):
+            if helper.proc.poll() is None:
+                helper.proc.kill()
+                helper.proc.wait()
+            return original(*args)
+
+        monkeypatch.setattr(runtime_sparse, "_lossy_panels", kill_then_run)
+        fallbacks = _FALLBACKS.value
+        assert _lossy() == want
+        assert _FALLBACKS.value == fallbacks + 1
+        assert helper.dead and not _running(helper.proc.pid)
+
+    def test_error_in_the_walk_with_panels_outstanding(self, monkeypatch):
+        want = _lossy()
+        helper = _force(monkeypatch)
+        original = runtime_sparse.SparseDistributedEngine._lossy_dominated
+        raised = []
+
+        def fails_once(self, *args):
+            if not raised:
+                raised.append(not helper.dead)
+                raise ValueError("walk failure")
+            return original(self, *args)
+
+        monkeypatch.setattr(
+            runtime_sparse.SparseDistributedEngine, "_lossy_dominated", fails_once
+        )
+        with pytest.raises(ValueError, match="walk failure"):
+            _lossy()
+        # The error came from the head walk, with the tail outstanding.
+        assert raised == [True]
+        assert helper.dead and not _running(helper.proc.pid)
+        # Nothing reads the stale reply: later calls run inline, bitwise.
+        assert shard.split_rows(sum, 3, lambda a, b: (range(a, b),)) == [3]
+        assert _lossy() == want
+
+    def test_failed_spawn_runs_lossy_panels_inline(self, monkeypatch):
+        want = _lossy()
+        monkeypatch.setattr(shard, "_MIN_ROWS", 1)
+        monkeypatch.setattr(shard, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(shard.sys, "executable", "/nonexistent/python")
+        fallbacks = _FALLBACKS.value
+        assert _lossy() == want
+        assert shard._HELPER.dead
+        assert _FALLBACKS.value == fallbacks + 1
 
     def test_failed_spawn_runs_inline(self, monkeypatch):
         monkeypatch.setattr(shard, "_MIN_ROWS", 1)
@@ -330,6 +492,34 @@ def test_four_threads_stepping_sessions_at_once(force_shard):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == want
+
+
+def _record_lossy_sides(monkeypatch):
+    """Count the lossy walk's ``exact`` and ``replay`` checks by side of
+    the cut: ``head`` before the panel request is collected (walked over
+    this process's panels), ``tail`` after (over the helper's)."""
+    sides = collections.Counter()
+    side = ["head"]
+    collect = shard.Request.collect
+    engine = runtime_sparse.SparseDistributedEngine
+
+    def collecting(self):
+        side[0] = "tail" if self._fn is runtime_sparse._lossy_panels else "head"
+        return collect(self)
+
+    def counting(name, path):
+        original = getattr(engine, name)
+
+        def counted(self, *args):
+            sides[side[0], path] += 1
+            return original(self, *args)
+
+        return counted
+
+    monkeypatch.setattr(shard.Request, "collect", collecting)
+    monkeypatch.setattr(engine, "_lossy_dominated", counting("_lossy_dominated", "exact"))
+    monkeypatch.setattr(engine, "_replay_walk", counting("_replay_walk", "replay"))
+    return sides
 
 
 def _fails_in_helper(start, stop):

@@ -56,6 +56,7 @@ from repro.obs import metrics
 from repro.runtime.sparse import (
     _GATHER_CHUNK,
     SparseDistributedEngine,
+    _circle_containment,
     arc_closer_counts,
 )
 
@@ -791,8 +792,9 @@ class TestCircleContainmentBatch:
         )
         radii = np.asarray([0.05, 0.1, 0.125, 0.25, 0.5])
         positions = np.asarray(sites)
-        batch = engine._circle_containment(
-            positions[:, 0], positions[:, 1], radii
+        batch = _circle_containment(
+            engine._containment, positions[:, 0], positions[:, 1], radii,
+            engine._circle_cos, engine._circle_sin,
         )
         assert batch.shape == (len(sites), radii.shape[0], 72)
         for i, site in enumerate(sites):
@@ -886,7 +888,10 @@ class TestCircleContainmentBatch:
             LaacadConfig(k=2),
             SynchronousScheduler(),
         )
-        batch = engine._circle_containment(positions[:, 0], positions[:, 1], radii)
+        batch = _circle_containment(
+            engine._containment, positions[:, 0], positions[:, 1], radii,
+            engine._circle_cos, engine._circle_sin,
+        )
         for i, site in enumerate(sites):
             for level, radius in enumerate(radii.tolist()):
                 expected = engine._containment.contains(
