@@ -8,7 +8,7 @@ relies on (computational geometry, k-order Voronoi diagrams, a WSN and
 message-passing simulator), the baselines it is compared against, and
 runners regenerating every figure and table of the paper's evaluation.
 
-Quickstart (the v1 API — see :mod:`repro.api`)::
+Quickstart (see :mod:`repro.api`)::
 
     from repro import LaacadConfig, SensorNetwork, Simulation, unit_square
 
@@ -19,8 +19,8 @@ Quickstart (the v1 API — see :mod:`repro.api`)::
     result = sim.run()
     print(result.max_sensing_range, result.converged)
 
-The old entry points (``run_laacad``, ``LaacadRunner``,
-``DistributedLaacadRunner``) remain importable as deprecated shims.
+The 1.x runner entry points were removed in 2.0; DESIGN.md "2.0
+migration" maps each one to its replacement.
 """
 
 from repro.api import (
@@ -32,8 +32,8 @@ from repro.api import (
     SimulationResult,
     deploy,
 )
+from repro.api.results import RoundStats
 from repro.core.config import LaacadConfig
-from repro.core.laacad import LaacadResult, LaacadRunner, RoundStats, run_laacad
 from repro.core.dominating import localized_dominating_region
 from repro.core.minnode import MinNodeSizer
 from repro.engine import (
@@ -67,9 +67,8 @@ from repro.regions.shapes import (
 from repro.voronoi.dominating import DominatingRegion, compute_dominating_region
 from repro.voronoi.korder import KOrderVoronoiDiagram
 from repro.analysis.coverage import evaluate_coverage, is_k_covered
-from repro.runtime.protocol import DistributedLaacadRunner
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Deployer",
@@ -80,10 +79,7 @@ __all__ = [
     "SimulationResult",
     "deploy",
     "LaacadConfig",
-    "LaacadResult",
-    "LaacadRunner",
     "RoundStats",
-    "run_laacad",
     "localized_dominating_region",
     "MinNodeSizer",
     "BatchedRoundEngine",
@@ -113,6 +109,5 @@ __all__ = [
     "KOrderVoronoiDiagram",
     "evaluate_coverage",
     "is_k_covered",
-    "DistributedLaacadRunner",
     "__version__",
 ]

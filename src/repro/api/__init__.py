@@ -1,4 +1,4 @@
-"""``repro.api`` — the stable v1 facade for running deployments.
+"""``repro.api`` — the stable facade for running deployments.
 
 Every way of creating, driving, observing and persisting a deployment
 run goes through this package (see DESIGN.md, "The API layer"):
@@ -17,9 +17,9 @@ run goes through this package (see DESIGN.md, "The API layer"):
 * probes in :mod:`repro.api.observers` — coverage/energy/convergence
   measured live instead of recomputed from final state.
 
-The old entry points (``run_laacad``, direct ``LaacadRunner`` /
-``DistributedLaacadRunner`` construction) remain as thin shims that
-emit :class:`DeprecationWarning` and delegate here.
+It is the only entry point: the 1.x runners (``run_laacad``,
+``LaacadRunner``, ``DistributedLaacadRunner``) were removed in 2.0
+(DESIGN.md "2.0 migration").
 """
 
 from repro.api.checkpoint import (

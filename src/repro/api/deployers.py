@@ -5,22 +5,19 @@ executes exactly one synchronous round and returns a typed
 :class:`~repro.api.events.RoundEvent`; ``run(until=...)`` loops;
 ``state`` reports where the run stands; ``result()`` finalizes sensing
 ranges and produces a :class:`~repro.api.results.SimulationResult`.
-The three built-ins unify every execution path the codebase used to
-expose through divergent run-to-completion monoliths:
+The three built-ins are every execution path the codebase has:
 
-* :class:`CentralizedDeployer` — Algorithm 1 with global knowledge
-  (the old ``LaacadRunner.run`` loop, now steppable);
+* :class:`CentralizedDeployer` — Algorithm 1 with global knowledge;
 * :class:`DistributedDeployer` — the message-passing protocol
-  (the old ``DistributedLaacadRunner.run`` loop, now steppable);
+  (Algorithms 1+2);
 * :class:`StaticDeployer` — no movement, ranges sized to the
   dominating regions (the lifetime baselines).
 
-The stepping decomposition is *observationally identical* to the old
-monoliths: the per-round order of operations (region computation →
-stats recording → convergence check → synchronous move) is preserved
-instruction for instruction, so a sequence of ``step()`` calls — with
-or without a checkpoint/restore in the middle — produces bitwise the
-same trajectories, histories and sensing ranges.
+Every round runs the same order of operations (region computation →
+stats recording → convergence check → synchronous move), so a sequence
+of ``step()`` calls — with or without a checkpoint/restore in the
+middle — produces bitwise the same trajectories, histories and sensing
+ranges as one uninterrupted ``run()``.
 
 Deployers also know how to snapshot and restore their complete mid-run
 state (positions, RNG streams, convergence tracker, counters) — see
@@ -287,9 +284,7 @@ class Deployer(abc.ABC):
 class CentralizedDeployer(Deployer):
     """Algorithm 1 with global knowledge, driven round by round.
 
-    The per-round order of operations is exactly the old
-    ``LaacadRunner.run`` loop; the engine backend is selected by
-    ``config.engine`` as before.
+    The round engine backend is selected by ``config.engine``.
     """
 
     kind = "laacad"
@@ -338,7 +333,6 @@ class CentralizedDeployer(Deployer):
             min_range_from_position=min(ranges_from_position) if ranges_from_position else 0.0,
             max_displacement=max(displacements) if displacements else 0.0,
             mean_displacement=(sum(displacements) / len(displacements)) if displacements else 0.0,
-            max_ring_hops=engine_round.max_ring_hops,
         )
         self._history.append(stats)
 
@@ -395,7 +389,7 @@ class CentralizedDeployer(Deployer):
         # not move, so its measurements are still current).
         regions = self._last_regions
         if not self._converged or regions is None:
-            regions, _ = self.engine.compute_regions()
+            regions = self.engine.compute_regions()
         sensing_ranges = self._final_sensing_ranges(regions)
 
         self._result = SimulationResult(
@@ -437,12 +431,10 @@ class CentralizedDeployer(Deployer):
 class DistributedDeployer(Deployer):
     """The message-passing protocol, driven round by round.
 
-    The per-round order of operations is exactly the old
-    ``DistributedLaacadRunner.run`` loop: failure injection, the
-    expanding-ring gather + region computation for every node (ring
-    queries and position replies accounted — and loss-sampled —
-    through the scheduler), statistics, convergence check, simultaneous
-    move application.
+    Each round runs failure injection, the expanding-ring gather +
+    region computation for every node (ring queries and position
+    replies accounted — and loss-sampled — through the scheduler),
+    statistics, convergence check, simultaneous move application.
 
     The gather/compute phase is delegated to a pluggable
     :class:`~repro.runtime.engines.DistributedRoundEngine` selected by
@@ -480,44 +472,9 @@ class DistributedDeployer(Deployer):
         self.protocol = make_distributed_engine(
             config.engine, network, config, self.scheduler
         )
-        self._compat_agents: Optional[Dict[int, Any]] = None
         #: False right after a restore: the engine's last regions are gone
         #: and must be refreshed before sensing ranges can be finalized.
         self._have_regions = True
-
-    @property
-    def agents(self) -> Dict[int, Any]:
-        """Per-node protocol agents (legacy introspection surface).
-
-        The ``legacy`` engine genuinely executes through these; the
-        ``sparse`` engine simulates at the round level, so for it the
-        dict is materialised lazily — same keys, same construction —
-        and *hydrated* from the engine's last round on every access:
-        each agent's ``last_region``, ``displacement`` and
-        ``proposed_target`` reflect the run exactly as the executed
-        agents would (the deprecated ``DistributedLaacadRunner.agents``
-        accessor keeps reading real state).
-        """
-        agents = getattr(self.protocol, "agents", None)
-        if agents is not None:
-            return agents
-        if self._compat_agents is None:
-            from repro.runtime.protocol import LaacadAgent
-
-            self._compat_agents = {
-                node.node_id: LaacadAgent(
-                    node.node_id, self.network, self.scheduler, self.config
-                )
-                for node in self.network.nodes
-            }
-        engine_round = self.protocol.last_round
-        if engine_round is not None:
-            displacements = dict(zip(engine_round.regions, engine_round.displacements))
-            for node_id, agent in self._compat_agents.items():
-                agent.last_region = engine_round.regions.get(node_id)
-                agent.displacement = displacements.get(node_id, 0.0)
-                agent.proposed_target = engine_round.proposed_targets.get(node_id)
-        return self._compat_agents
 
     def step(self) -> RoundEvent:
         round_index = self._require_active()
@@ -600,8 +557,7 @@ class DistributedDeployer(Deployer):
         if needs_refresh:
             # The round cap was hit after a move (or the session was just
             # restored): refresh every node's region once so the final
-            # sensing ranges refer to the current positions — exactly
-            # what the old monolithic driver did at the cap.
+            # sensing ranges refer to the current positions.
             self.scheduler.begin_round()
             self.protocol.run_round(self._rounds)
             self.scheduler.end_round()

@@ -1,25 +1,24 @@
-"""Typed, lossless, versioned result types of the v1 public API.
+"""Typed, lossless, versioned result types of the public API.
 
 :class:`SimulationResult` is *the* result of every deployment run —
-centralized, distributed and static alike.  It is the evolution of the
-old ``LaacadResult`` (which is now an alias): same core fields and
-derived properties, plus
+centralized, distributed and static alike.  It carries
 
+* the final positions, sensing ranges and per-round history,
 * a ``kind`` tag identifying which deployer produced it,
 * optional communication accounting and failure bookkeeping for
   distributed runs, and
 * a **lossless, versioned** ``to_dict()`` / ``from_dict()`` pair:
   ``SimulationResult.from_dict(result.to_dict()) == result`` holds
   field-for-field, including every per-round :class:`RoundStats` entry
-  (ring/hop and communication fields included) and the optional
-  position history.  The dict is JSON-compatible, and a JSON round-trip
-  preserves equality too (Python's ``json`` emits shortest round-trip
-  float representations).
+  (communication fields included) and the optional position history.
+  The dict is JSON-compatible, and a JSON round-trip preserves equality
+  too (Python's ``json`` emits shortest round-trip float
+  representations).
 
 The per-round statistics types (:class:`RoundStats`,
 :class:`DistributedRoundStats`) live here as well — they are part of
-the public event/result surface; ``repro.core.laacad`` and
-``repro.runtime.protocol`` re-export them for backwards compatibility.
+the public event/result surface; ``repro`` and ``repro.runtime``
+re-export them.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
 from repro.geometry.primitives import Point, distance
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle:
-    # repro.core re-exports the legacy result shims, which import this module)
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import LaacadConfig
 
 #: Version of the ``SimulationResult.to_dict`` payload layout.  Bump
@@ -55,8 +53,10 @@ class RoundStats:
         max_displacement: largest node-to-Chebyshev-center distance this
             round (the stopping-rule quantity).
         mean_displacement: average of those distances.
-        max_ring_hops: deepest expanding-ring search this round (only
-            populated by the localized back-end; 0 otherwise).
+        max_ring_hops: always 0.  It was the deepest expanding-ring
+            search of a centralized Algorithm-2 round, a mode 2.0
+            removed; the field stays so result payloads keep format
+            version 1.
     """
 
     round_index: int
@@ -132,10 +132,8 @@ def _tuple_points(points) -> List[Point]:
 class SimulationResult:
     """Outcome of one deployment run, for every deployer kind.
 
-    The first eight fields are exactly the old ``LaacadResult`` layout
-    (the class is a drop-in replacement and ``LaacadResult`` aliases
-    it); the trailing fields carry the deployer kind and the
-    distributed-only extras.
+    The first eight fields describe the deployment itself; the trailing
+    fields carry the deployer kind and the distributed-only extras.
     """
 
     config: Optional["LaacadConfig"]
@@ -151,7 +149,7 @@ class SimulationResult:
     killed_nodes: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
-    # Derived quantities (unchanged from LaacadResult)
+    # Derived quantities
     # ------------------------------------------------------------------
     @property
     def max_sensing_range(self) -> float:

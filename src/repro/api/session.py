@@ -71,14 +71,13 @@ class Simulation:
       distributed extras (``drop_probability``, ``failure_injector``,
       ``rng``) apply when ``kind="distributed"``.
     * ``Simulation(region=..., positions=..., config=...)`` — builds the
-      network for you (the old ``run_laacad`` convenience).
+      network for you.
     * ``Simulation(node_count=40, k=2, ...)`` — any
       :class:`~repro.scenarios.spec.ScenarioSpec` fields as kwargs.
 
-    The session mutates its network in place exactly like the old
-    runners: positions evolve every round and ``result()`` writes the
-    final sensing ranges back, so the network afterwards *is* the
-    converged deployment.
+    The session mutates its network in place: positions evolve every
+    round and ``result()`` writes the final sensing ranges back, so the
+    network afterwards *is* the converged deployment.
     """
 
     def __init__(
@@ -454,7 +453,7 @@ def deploy(
     comm_range: float = 0.25,
     mobility: Optional[MobilityModel] = None,
 ) -> SimulationResult:
-    """One-call centralized deployment (the ``run_laacad`` replacement)."""
+    """One-call centralized deployment over a network built from ``initial_positions``."""
     return Simulation(
         region=region,
         positions=initial_positions,

@@ -3,26 +3,23 @@
 * :mod:`repro.core.config` — run configuration (k, alpha, epsilon, ...).
 * :mod:`repro.core.dominating` — Algorithm 2: localized dominating-region
   computation via an expanding ring.
-* :mod:`repro.core.laacad` — Algorithm 1: the iterative deployment driver
-  (centralized-geometry variant; the message-passing variant lives in
-  :mod:`repro.runtime.protocol`).
 * :mod:`repro.core.convergence` — convergence tracking and stopping rules.
 * :mod:`repro.core.minnode` — the Sec. IV-C transform towards min-node
   k-coverage.
+
+Algorithm 1, the iterative deployment driver, runs through
+:class:`repro.api.Simulation`: the centralized pipeline steps a
+:mod:`repro.engine` round engine, the distributed one executes
+Algorithms 1+2 as the message protocol of :mod:`repro.runtime`.
 """
 
 from repro.core.config import LaacadConfig
-from repro.core.laacad import LaacadRunner, LaacadResult, RoundStats, run_laacad
 from repro.core.dominating import localized_dominating_region, LocalizedComputation
 from repro.core.convergence import ConvergenceTracker
 from repro.core.minnode import MinNodeSizer, MinNodeResult
 
 __all__ = [
     "LaacadConfig",
-    "LaacadRunner",
-    "LaacadResult",
-    "RoundStats",
-    "run_laacad",
     "localized_dominating_region",
     "LocalizedComputation",
     "ConvergenceTracker",

@@ -25,11 +25,6 @@ class LaacadConfig:
             for exactly ``1.0`` (one hop) and that is the default.
         circle_check_samples: how many sample points to place on the
             half-radius circle in Algorithm 2's domination check.
-        use_localized: when True the per-node dominating regions are
-            computed with Algorithm 2 (expanding ring); when False the
-            exact engine with global knowledge is used.  Both produce the
-            same regions (Lemma 1); the localized path additionally
-            reports ring radii and is what the distributed runtime uses.
         prefilter: enable the expanding-radius competitor pre-filter in
             the exact engine (no effect on results, only on speed).
         seed: RNG seed for reproducibility (Welzl shuffling, noise, ...).
@@ -50,8 +45,6 @@ class LaacadConfig:
             engine tier").  The distributed pipeline runs ``batched``
             as ``sparse``: its dense round-level backend was retired
             because the sparse one was faster at every measured size.
-            Orthogonal to ``use_localized``, which selects how each
-            individual region is computed.
     """
 
     k: int = 1
@@ -61,7 +54,6 @@ class LaacadConfig:
     tau_ms: float = 100.0
     ring_granularity: float = 1.0
     circle_check_samples: int = 72
-    use_localized: bool = False
     prefilter: bool = True
     seed: Optional[int] = 0
     record_positions: bool = False
@@ -94,12 +86,26 @@ class LaacadConfig:
 
         Unknown keys raise immediately so a typo in a scenario spec
         cannot silently fall back to a default.
+
+        Payloads written by 1.x (results, checkpoints, scenario
+        overrides) carry the removed ``use_localized`` option.  Its
+        ``False`` value names the only behaviour left and is dropped;
+        ``True`` selected centralized rounds computed through Algorithm
+        2, which the distributed pipeline now owns, so it raises rather
+        than quietly running a different engine.
         """
+        options = dict(options)
+        if options.pop("use_localized", False):
+            raise ValueError(
+                "use_localized=True was removed in 2.0; run Algorithm 2 "
+                "through the distributed pipeline instead: "
+                'Simulation(kind="distributed") or pipeline="distributed"'
+            )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(options) - known
         if unknown:
             raise ValueError(f"unknown LaacadConfig options: {sorted(unknown)}")
-        return cls(**dict(options))
+        return cls(**options)
 
     def with_k(self, k: int) -> "LaacadConfig":
         """A copy of this configuration with a different coverage order."""

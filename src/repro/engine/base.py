@@ -2,10 +2,10 @@
 
 A *round engine* computes, for one synchronous LAACAD round, every alive
 node's dominating region (and, derived from it, the Chebyshev centers
-and the per-round statistics the runner records).  The runner in
-``repro.core.laacad`` is engine-agnostic: it asks the configured engine
-for an :class:`EngineRound` and only keeps the movement / convergence /
-bookkeeping logic for itself.
+and the per-round statistics the deployer records).  The
+:class:`~repro.api.deployers.CentralizedDeployer` is engine-agnostic: it
+asks the configured engine for an :class:`EngineRound` and only keeps
+the movement / convergence / bookkeeping logic for itself.
 
 Backends register themselves with :func:`register_engine` under a short
 name; :func:`make_engine` instantiates by name.  Adding a backend is a
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Tuple, Type
+from typing import TYPE_CHECKING, Dict, List, Type
 
 from repro.geometry.primitives import Point, distance
 from repro.voronoi.dominating import DominatingRegion
@@ -47,8 +47,6 @@ class EngineRound:
             ``R-hat``), in alive-node order.
         displacements: node-to-Chebyshev-center distance per node, in
             alive-node order (the stopping-rule quantity).
-        max_ring_hops: deepest expanding-ring search of the round (only
-            populated by the localized Algorithm-2 backend).
     """
 
     regions: Dict[int, DominatingRegion]
@@ -56,13 +54,11 @@ class EngineRound:
     circumradii: List[float]
     ranges_from_position: List[float]
     displacements: List[float]
-    max_ring_hops: int = 0
 
 
 def summarize_regions(
     network: "SensorNetwork",
     regions: Dict[int, DominatingRegion],
-    max_ring_hops: int = 0,
 ) -> EngineRound:
     """Derive centers and per-round statistics from computed regions.
 
@@ -86,7 +82,6 @@ def summarize_regions(
         circumradii=circumradii,
         ranges_from_position=ranges_from_position,
         displacements=displacements,
-        max_ring_hops=max_ring_hops,
     )
 
 
@@ -108,13 +103,12 @@ class RoundEngine(abc.ABC):
         self.config = config
 
     @abc.abstractmethod
-    def compute_regions(self) -> Tuple[Dict[int, DominatingRegion], int]:
-        """Dominating regions of every alive node; returns (regions, max ring hops)."""
+    def compute_regions(self) -> Dict[int, DominatingRegion]:
+        """Dominating regions of every alive node, keyed by node id."""
 
     def compute_round(self) -> EngineRound:
         """One full round of region computation plus derived statistics."""
-        regions, max_hops = self.compute_regions()
-        return summarize_regions(self.network, regions, max_hops)
+        return summarize_regions(self.network, self.compute_regions())
 
 
 _REGISTRY: Dict[str, Type[RoundEngine]] = {}

@@ -15,18 +15,12 @@ half-plane values node by node in scalar Python, this engine:
 The results are bitwise identical to the legacy backend (see the
 numerical contract in ``kernels.py``); the equivalence suite in
 ``tests/test_engine_equivalence.py`` enforces it.
-
-The localized (Algorithm 2) backend is inherently per-node — each node
-may only read ring members' positions — so for ``use_localized`` runs
-this engine delegates to the same expanding-ring computation the legacy
-path uses (sharing the network's cached spatial grid) and batches only
-the derived statistics.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -51,39 +45,7 @@ class BatchedRoundEngine(RoundEngine):
 
     name = "batched"
 
-    def compute_regions(self) -> Tuple[Dict[int, DominatingRegion], int]:
-        if self.config.use_localized:
-            return self._compute_regions_localized()
-        return self._compute_regions_global()
-
-    # ------------------------------------------------------------------
-    # Localized (Algorithm 2) backend: delegated per node
-    # ------------------------------------------------------------------
-    def _compute_regions_localized(self) -> Tuple[Dict[int, DominatingRegion], int]:
-        # Imported lazily: core.dominating reaches back into the engine
-        # kernels via the voronoi layer, so a module-level import would
-        # be a hard cycle.
-        from repro.core.dominating import localized_dominating_region
-
-        regions: Dict[int, DominatingRegion] = {}
-        max_hops = 0
-        config = self.config
-        for node in self.network.alive_nodes():
-            computation = localized_dominating_region(
-                self.network,
-                node.node_id,
-                config.k,
-                ring_granularity=config.ring_granularity,
-                circle_check_samples=config.circle_check_samples,
-            )
-            regions[node.node_id] = computation.region
-            max_hops = max(max_hops, computation.hops)
-        return regions, max_hops
-
-    # ------------------------------------------------------------------
-    # Exact global backend: fully batched
-    # ------------------------------------------------------------------
-    def _compute_regions_global(self) -> Tuple[Dict[int, DominatingRegion], int]:
+    def compute_regions(self) -> Dict[int, DominatingRegion]:
         network = self.network
         config = self.config
         k = config.k
@@ -131,7 +93,7 @@ class BatchedRoundEngine(RoundEngine):
                 diameter,
                 k,
             )
-        return regions, 0
+        return regions
 
     def _prefiltered_region(
         self,

@@ -35,11 +35,11 @@ engine replaces both:
   position and the sites inside its ``rho`` disk, none of which
   changed, so the spliced round is **bitwise** the round a fresh engine
   computes.  The first round, any change of alive set, area or config,
-  ``prefilter=False``, ``use_localized`` and small networks (``count
-  <= _WHOLE_NETWORK_MAX``, one whole-network clip) recompute
-  everything; a call with nothing moved (``result()`` then ``step()``)
-  reuses the stored round outright.  DESIGN.md "Incremental rounds"
-  has the argument;
+  ``prefilter=False`` and small networks (``count <=
+  _WHOLE_NETWORK_MAX``, one whole-network clip) recompute everything;
+  a call with nothing moved (``result()`` then ``step()``) reuses the
+  stored round outright.  DESIGN.md "Incremental rounds" has the
+  argument;
 * for the same reason the recomputed rows of a large round search and
   summarise in two halves at once, one on a helper process
   (:func:`~repro.engine.shard.split_rows` over :func:`_lemma1_rows`),
@@ -69,8 +69,7 @@ import numpy as np
 from repro.core.config import LaacadConfig
 from repro.engine import shard as _shard
 from repro.engine.arrays import NodeArrayState
-from repro.engine.base import EngineRound, register_engine, summarize_regions
-from repro.engine.batch import BatchedRoundEngine
+from repro.engine.base import EngineRound, RoundEngine, register_engine
 from repro.engine.jit_kernels import ragged_indices, segment_argsort, segment_ids
 from repro.engine.kernels import chunk_budget_bytes
 from repro.engine.pieces import (
@@ -402,7 +401,7 @@ class _RoundState:
 
 
 @register_engine
-class SparseRoundEngine(BatchedRoundEngine):
+class SparseRoundEngine(RoundEngine):
     """Grid-bucketed, level-synchronous, incremental round computation."""
 
     name = "sparse"
@@ -412,22 +411,9 @@ class SparseRoundEngine(BatchedRoundEngine):
         self._state: Optional[_RoundState] = None
 
     # ------------------------------------------------------------------
-    def compute_regions(self) -> Tuple[Dict[int, DominatingRegion], int]:
-        if self.config.use_localized:
-            self._state = None
-            return self._compute_regions_localized()
-        return self._compute_regions_sparse(), 0
-
-    def compute_round(self) -> EngineRound:
-        regions, max_hops = self.compute_regions()
-        if self._state is None:
-            return summarize_regions(self.network, regions, max_hops)
-        return self._summarize_vectorized(regions, max_hops)
-
-    # ------------------------------------------------------------------
     # Region computation
     # ------------------------------------------------------------------
-    def _compute_regions_sparse(self) -> Dict[int, DominatingRegion]:
+    def compute_regions(self) -> Dict[int, DominatingRegion]:
         network = self.network
         config = self.config
         area_pieces = network.region.convex_pieces()
@@ -674,7 +660,8 @@ class SparseRoundEngine(BatchedRoundEngine):
     # ------------------------------------------------------------------
     # Vectorized per-round summary
     # ------------------------------------------------------------------
-    def _summarize_vectorized(self, regions, max_hops) -> EngineRound:
+    def compute_round(self) -> EngineRound:
+        regions = self.compute_regions()
         with _trace.span("summary"):
             state = self._state
             alive_ids = state.alive_ids
@@ -692,7 +679,6 @@ class SparseRoundEngine(BatchedRoundEngine):
             circumradii=state.radius.tolist(),
             ranges_from_position=state.ranges.tolist(),
             displacements=displacements.tolist(),
-            max_ring_hops=max_hops,
         )
 
     @staticmethod

@@ -1,13 +1,14 @@
 """Distributed runtime: message-passing execution of LAACAD.
 
-The centralized driver in :mod:`repro.core.laacad` evaluates the
-geometry directly.  This package executes the same algorithm as a
-*protocol*: every node is an agent that, once per period, floods a
-position query through its expanding ring, receives replies hop by hop,
-computes its dominating region from the replies only, and moves.  The
-scheduler is synchronous (round = the paper's period ``tau``) and every
-message is accounted for, which yields the communication-overhead data
-the localized design is meant to minimise.
+The centralized pipeline (:class:`repro.api.deployers.CentralizedDeployer`
+over a :mod:`repro.engine` round engine) evaluates the geometry
+directly.  This package executes the same algorithm as a *protocol*:
+every node is an agent that, once per period, floods a position query
+through its expanding ring, receives replies hop by hop, computes its
+dominating region from the replies only, and moves.  The scheduler is
+synchronous (round = the paper's period ``tau``) and every message is
+accounted for, which yields the communication-overhead data the
+localized design is meant to minimise.
 
 Failure injection (node crashes, reply losses) is layered on top so the
 robustness of k-coverage under failures can be studied — the motivation
@@ -26,7 +27,7 @@ from repro.runtime.engines import (
     register_distributed_engine,
 )
 from repro.runtime.sparse import SparseDistributedEngine
-from repro.runtime.protocol import DistributedLaacadRunner, DistributedRoundStats
+from repro.runtime.protocol import DistributedRoundStats
 from repro.runtime.failures import FailureInjector
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "available_distributed_engines",
     "make_distributed_engine",
     "register_distributed_engine",
-    "DistributedLaacadRunner",
     "DistributedRoundStats",
     "FailureInjector",
 ]

@@ -167,7 +167,7 @@ class DistributedRoundEngine(abc.ABC):
         self.last_regions: Dict[int, DominatingRegion] = {}
         #: Full summary of the most recent round (regions, centers,
         #: displacements, move proposals); ``None`` until the first
-        #: round.  Backs the deployer's deprecated per-agent surface.
+        #: round.  Lets callers inspect a round without re-running it.
         self.last_round: Optional[DistributedEngineRound] = None
 
     @abc.abstractmethod

@@ -20,24 +20,18 @@ produce identical trajectories (covered by an integration test).
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.api.results import DistributedRoundStats, SimulationResult
+from repro.api.results import DistributedRoundStats
 from repro.core.config import LaacadConfig
 from repro.geometry.primitives import Point, distance
-from repro.network.mobility import MobilityModel
 from repro.network.network import SensorNetwork
 from repro.runtime.agent import NodeAgent
-from repro.runtime.failures import FailureInjector
 from repro.runtime.messages import POSITION_REPORT_BYTES, RING_QUERY_BYTES
-from repro.runtime.scheduler import CommunicationStats, SynchronousScheduler
+from repro.runtime.scheduler import SynchronousScheduler
 from repro.voronoi.dominating import DominatingRegion, dominating_pieces
 
 __all__ = [
-    "DistributedLaacadRunner",
     "DistributedRoundStats",
     "LaacadAgent",
 ]
@@ -158,77 +152,3 @@ class LaacadAgent(NodeAgent):
         else:
             self.proposed_target = None
 
-
-class DistributedLaacadRunner:
-    """Deprecated shim over :class:`repro.api.deployers.DistributedDeployer`.
-
-    .. deprecated::
-        Use :class:`repro.api.Simulation` with ``kind="distributed"``
-        (or a spec whose pipeline is ``"distributed"``) instead::
-
-            sim = Simulation(network=net, config=cfg, kind="distributed",
-                             drop_probability=0.02, failure_injector=injector)
-            result = sim.run()          # result.communication carries totals
-
-        The steppable deployer executes the exact per-round order of the
-        old loop, so results are bitwise identical; it additionally
-        supports stepping, observation and checkpoint/resume.
-
-    Construction emits a :class:`DeprecationWarning`; ``run()`` keeps
-    the historical ``(result, CommunicationStats)`` return shape.
-    """
-
-    def __init__(
-        self,
-        network: SensorNetwork,
-        config: LaacadConfig,
-        mobility: Optional[MobilityModel] = None,
-        drop_probability: float = 0.0,
-        failure_injector: Optional[FailureInjector] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        warnings.warn(
-            "repro.runtime.protocol.DistributedLaacadRunner is deprecated; use "
-            "repro.api.Simulation(network=..., config=..., kind='distributed')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.api.deployers import DistributedDeployer
-
-        self._deployer = DistributedDeployer(
-            network,
-            config,
-            mobility=mobility,
-            drop_probability=drop_probability,
-            failure_injector=failure_injector,
-            rng=rng,
-        )
-
-    @property
-    def network(self) -> SensorNetwork:
-        return self._deployer.network
-
-    @property
-    def config(self) -> LaacadConfig:
-        return self._deployer.config
-
-    @property
-    def mobility(self) -> MobilityModel:
-        return self._deployer.mobility
-
-    @property
-    def scheduler(self) -> SynchronousScheduler:
-        return self._deployer.scheduler
-
-    @property
-    def failure_injector(self) -> Optional[FailureInjector]:
-        return self._deployer.failure_injector
-
-    @property
-    def agents(self) -> Dict[int, LaacadAgent]:
-        return self._deployer.agents
-
-    def run(self) -> Tuple[SimulationResult, CommunicationStats]:
-        """Execute the protocol; returns the deployment result and comm stats."""
-        result = self._deployer.run()
-        return result, self._deployer.scheduler.stats

@@ -278,34 +278,6 @@ class ScenarioSpec:
 
         return Simulation.from_spec(self)
 
-    def build_runner(self):
-        """Deprecated: a centralized ``LaacadRunner`` over a fresh network.
-
-        Constructing the runner emits a :class:`DeprecationWarning`; use
-        :meth:`simulation` instead.
-        """
-        from repro.core.laacad import LaacadRunner
-
-        return LaacadRunner(
-            self.build_network(), self.build_config(), mobility=self.build_mobility()
-        )
-
-    def build_distributed_runner(self):
-        """Deprecated: a ``DistributedLaacadRunner`` with this spec's failures.
-
-        Constructing the runner emits a :class:`DeprecationWarning`; use
-        :meth:`simulation` (with ``pipeline="distributed"``) instead.
-        """
-        from repro.runtime.protocol import DistributedLaacadRunner
-
-        return DistributedLaacadRunner(
-            self.build_network(),
-            self.build_config(),
-            mobility=self.build_mobility(),
-            drop_probability=self.drop_probability,
-            failure_injector=self.build_failure_injector(),
-        )
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

@@ -4,8 +4,8 @@ The acceptance bar of the API redesign: checkpoint at round r, restore
 (through actual JSON), run to convergence, and every output — positions,
 sensing ranges, full history, communication totals — equals the
 uninterrupted run exactly (``==`` on floats, no tolerances), across both
-round engines and both region back-ends, for centralized and distributed
-(lossy, failing) runs alike.
+round engines, for centralized and distributed (lossy, failing) runs
+alike, and for checkpoints written by 1.x.
 """
 
 import dataclasses
@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import Simulation, SimulationCheckpoint
+from repro.api import Simulation, SimulationCheckpoint, SimulationResult
 from repro.api.checkpoint import checkpoint_path_for
 from repro.core.config import LaacadConfig
 from repro.network.network import SensorNetwork
@@ -37,14 +37,12 @@ def _assert_bitwise_equal(resumed, baseline):
 
 class TestCentralizedResumeDeterminism:
     @pytest.mark.parametrize("engine", ["legacy", "batched"])
-    @pytest.mark.parametrize("use_localized", [False, True])
-    def test_mid_run_restore_is_bitwise_identical(self, square, engine, use_localized):
+    def test_mid_run_restore_is_bitwise_identical(self, square, engine):
         config = LaacadConfig(
             k=2,
             epsilon=2e-3,
             max_rounds=18,
             engine=engine,
-            use_localized=use_localized,
             record_positions=True,
         )
 
@@ -199,6 +197,70 @@ class TestCheckpointFiles:
         with pytest.warns(UserWarning, match="ignoring checkpoint"):
             fresh = Simulation.resume_or_start(spec_b, path)
         assert fresh.state.rounds_executed == 0
+
+
+class TestOneXPayloads:
+    """Payloads written by 1.x carry ``config.use_localized``.
+
+    ``False`` named the only behaviour 2.0 keeps, so such results and
+    checkpoints load and resume bitwise; ``True`` selected the removed
+    centralized Algorithm-2 mode and must be refused by every loader.
+    """
+
+    @staticmethod
+    def _as_1x(payload, use_localized=False):
+        payload = json.loads(json.dumps(payload))
+        for holder in (payload, payload.get("result")):
+            if holder is not None and holder.get("config") is not None:
+                holder["config"]["use_localized"] = use_localized
+        return payload
+
+    @staticmethod
+    def _session(square, kind="laacad"):
+        return Simulation(
+            network=SensorNetwork.from_corner_cluster(
+                square, 10, comm_range=0.3, rng=np.random.default_rng(3)
+            ),
+            config=LaacadConfig(k=2, epsilon=2e-3, max_rounds=12),
+            kind=kind,
+        )
+
+    @pytest.mark.parametrize("kind", ["laacad", "distributed"])
+    def test_1x_result_dict_loads(self, square, kind):
+        result = self._session(square, kind).run()
+        payload = self._as_1x(result.to_dict())
+        assert SimulationResult.from_dict(payload) == result
+
+    @pytest.mark.parametrize("kind", ["laacad", "distributed"])
+    def test_1x_checkpoint_resumes_bitwise(self, square, kind):
+        baseline = self._session(square, kind).run()
+        interrupted = self._session(square, kind)
+        interrupted.run(until=4)
+        payload = self._as_1x(interrupted.checkpoint().to_dict())
+        _assert_bitwise_equal(Simulation.restore(payload).run(), baseline)
+
+    def test_1x_completed_checkpoint_carries_result(self, square):
+        sim = self._session(square)
+        result = sim.run()
+        restored = Simulation.restore(self._as_1x(sim.checkpoint().to_dict()))
+        assert restored.result() == result
+
+    def test_use_localized_true_refused_by_every_loader(self, square):
+        sim = self._session(square)
+        sim.run(until=2)
+        checkpoint = self._as_1x(sim.checkpoint().to_dict(), use_localized=True)
+        result = self._as_1x(
+            self._session(square).run().to_dict(), use_localized=True
+        )
+        net = SensorNetwork(square, [(0.2, 0.2), (0.8, 0.8)], comm_range=0.4)
+        loaders = [
+            lambda: SimulationResult.from_dict(result),
+            lambda: Simulation.restore(checkpoint),
+            lambda: Simulation(network=net, use_localized=True),
+        ]
+        for load in loaders:
+            with pytest.raises(ValueError, match='kind="distributed"'):
+                load()
 
 
 class TestSweepCheckpointing:

@@ -132,13 +132,18 @@ class TestConvergenceBehaviour:
         assert result.history[-1].max_displacement <= config.epsilon
 
     def test_localized_backend_matches_global(self, square):
+        # Lemma 1: Algorithm 2's expanding ring recovers the regions the
+        # centralized engine computes with global knowledge.
         positions = square.random_points(12, rng=np.random.default_rng(14))
-        cfg_global = LaacadConfig(k=2, alpha=1.0, epsilon=2e-3, max_rounds=25)
-        cfg_local = LaacadConfig(
-            k=2, alpha=1.0, epsilon=2e-3, max_rounds=25, use_localized=True
-        )
-        res_global = deploy(square, positions, cfg_global, comm_range=0.3)
-        res_local = deploy(square, positions, cfg_local, comm_range=0.3)
+        config = LaacadConfig(k=2, alpha=1.0, epsilon=2e-3, max_rounds=25)
+        res_global = deploy(square, positions, config, comm_range=0.3)
+        res_local = Simulation(
+            region=square,
+            positions=positions,
+            config=config,
+            comm_range=0.3,
+            kind="distributed",
+        ).run()
         assert res_local.max_sensing_range == pytest.approx(
             res_global.max_sensing_range, rel=1e-6
         )

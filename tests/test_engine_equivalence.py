@@ -92,16 +92,6 @@ class TestFullRunEquivalence:
         )
         _assert_identical(result_legacy, result_batched)
 
-    def test_localized_algorithm2_backend(self):
-        result_legacy = _run(
-            "legacy", unit_square(), 10, seed=21, k=2, max_rounds=8, use_localized=True
-        )
-        result_batched = _run(
-            "batched", unit_square(), 10, seed=21, k=2, max_rounds=8, use_localized=True
-        )
-        _assert_identical(result_legacy, result_batched)
-        assert any(s.max_ring_hops > 0 for s in result_batched.history)
-
     def test_prefilter_disabled(self):
         result_legacy = _run(
             "legacy", unit_square(), 10, seed=5, k=2, max_rounds=8, prefilter=False

@@ -220,7 +220,7 @@ class TestDeploymentsMatchFreshEngine:
         assert sim.state.rounds_executed >= 3
         assert spliced >= 1
         # Final sensing ranges come from the (cached) engine regions.
-        fresh = SparseRoundEngine(sim.network, sim.config).compute_regions()[0]
+        fresh = SparseRoundEngine(sim.network, sim.config).compute_regions()
         ranges = sim.result().sensing_ranges
         for node in sim.network.alive_nodes():
             assert ranges[node.node_id] == fresh[node.node_id].circumradius(node.position)
@@ -240,7 +240,7 @@ class TestDeploymentsMatchFreshEngine:
     def test_nothing_moved_reuses_the_round(self):
         network = _network(unit_square(), 80, seed=3)
         engine = SparseRoundEngine(network, LaacadConfig(k=2, engine="sparse"))
-        first, _ = engine.compute_regions()
+        first = engine.compute_regions()
         recomputed = _RECOMPUTED.value
         again = engine.compute_round()
         assert _RECOMPUTED.value == recomputed

@@ -284,7 +284,7 @@ def _sparse_path_run(monkeypatch, region, count, k, whole_network):
     )
     positions = region.random_points(count, rng=np.random.default_rng(count + k))
     config = LaacadConfig(k=k, max_rounds=6, engine="sparse")
-    regions, _ = make_engine(
+    regions = make_engine(
         "sparse", SensorNetwork(region, positions, comm_range=0.3), config
     ).compute_regions()
     if count < k:
@@ -1025,6 +1025,3 @@ class TestSparseSelection:
         assert not any(
             "batched" in cls.__name__.lower() for cls in type(protocol).__mro__
         )
-        # The deprecated DistributedLaacadRunner surface: same keys,
-        # inert agents, materialised lazily.
-        assert set(sim.deployer.agents) == set(range(6))

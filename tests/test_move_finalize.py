@@ -12,6 +12,7 @@ object spelling of the same columns.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -348,7 +349,7 @@ class TestFinalize:
                          kind=kind)
         result = sim.run()
         if kind == "laacad":
-            regions = sim.deployer.engine.compute_regions()[0]
+            regions = sim.deployer.engine.compute_regions()
         else:
             regions = sim.deployer.protocol.last_regions
         copy = SensorNetwork(network.region, network.positions())
@@ -382,7 +383,7 @@ class TestFinalize:
         network = SensorNetwork(square, [(0.2, 0.2), (0.8, 0.8), (0.3, 0.7)])
         sim = Simulation(network=network, config=LaacadConfig(k=1, engine="legacy",
                                                                max_rounds=1))
-        regions, _ = sim.deployer.engine.compute_regions()
+        regions = sim.deployer.engine.compute_regions()
         vertices = region_vertices(regions)
         assert vertices.ids.tolist() == list(regions)
         for row, region in enumerate(regions.values()):
@@ -458,6 +459,23 @@ class TestNodeViews:
         network.apply_moves({0: (0.6, 0.5)})
         assert clone.position == (0.4, 0.5)
 
+    @staticmethod
+    def _1x_json(checkpoint):
+        """The checkpoint JSON as 1.x spelled it: 2.0 dropped the config
+        key ``use_localized``, which 1.x always wrote as ``false``
+        right after ``circle_check_samples``."""
+        payload = json.loads(checkpoint.to_json())
+        for holder in (payload, payload.get("result")):
+            if holder is None:
+                continue
+            config = {}
+            for key, value in holder["config"].items():
+                config[key] = value
+                if key == "circle_check_samples":
+                    config["use_localized"] = False
+            holder["config"] = config
+        return json.dumps(payload)
+
     def test_checkpoint_json_bytes_unchanged(self):
         # sha256 of the checkpoint JSON the same sessions produced when
         # nodes were standalone objects (mid-run and finished).
@@ -497,7 +515,8 @@ class TestNodeViews:
             sim.run()
             done = sim.checkpoint()
             digests = tuple(
-                hashlib.sha256(c.to_json().encode()).hexdigest() for c in (mid, done)
+                hashlib.sha256(self._1x_json(c).encode()).hexdigest()
+                for c in (mid, done)
             )
             assert digests == expected[name], name
             restored = Simulation.restore(mid)

@@ -304,27 +304,3 @@ class TestDistributedRunner:
         assert result.communication.dropped > 0
         assert result.max_sensing_range > 0
 
-
-def test_all():
-    """The public surface of :mod:`repro.runtime`: exactly these names."""
-    import repro.runtime as runtime
-
-    assert set(runtime.__all__) == {
-        "Message",
-        "MessageKind",
-        "SynchronousScheduler",
-        "CommunicationStats",
-        "NodeAgent",
-        "DistributedEngineRound",
-        "DistributedRoundEngine",
-        "LegacyDistributedEngine",
-        "SparseDistributedEngine",
-        "available_distributed_engines",
-        "make_distributed_engine",
-        "register_distributed_engine",
-        "DistributedLaacadRunner",
-        "DistributedRoundStats",
-        "FailureInjector",
-    }
-    for name in runtime.__all__:
-        assert getattr(runtime, name) is not None

@@ -118,6 +118,21 @@ class TestEndpoints:
         assert status == 405
         request("DELETE", service + "/sessions/dup")
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            dict(SCENARIO, use_localized=True),
+            dict(SCENARIO, extra={"config": {"use_localized": True}}),
+        ],
+    )
+    def test_removed_use_localized_is_a_bad_request(self, service, scenario):
+        status, body = request(
+            "POST", service + "/sessions", {"name": "localized", "scenario": scenario}
+        )
+        assert status == 400 and "use_localized" in body["error"]
+        status, _ = request("GET", service + "/sessions/localized")
+        assert status == 404
+
     def test_completed_session_conflict(self, service):
         request(
             "POST",
